@@ -52,7 +52,6 @@ func main() {
 		mipTime  = flag.Duration("mip-time", 10*time.Second, "time budget per exact MIP solve")
 		workers  = flag.Int("workers", 0, "concurrent draw workers (0 = all CPUs, 1 = sequential)")
 		exactW   = flag.Int("exact-workers", 0, "workers of each draw's exact DFS burst (0/1 = sequential; figures 10..12)")
-		exactNR  = flag.Bool("exact-no-relax", false, "disable the exact burst's relaxation bound tiers (ablation; figures 10..12)")
 		exactNIB = flag.Bool("exact-no-inc-bound", false, "force the exact burst's bound onto from-scratch recomputation (ablation; results are byte-identical)")
 		polish   = flag.String("polish", "", "local-search post-pass per draw: ls | anneal")
 		pBudget  = flag.Int("polish-budget", 0, "post-pass budget per mapping (0 = default)")
@@ -62,9 +61,8 @@ func main() {
 	flag.Parse()
 	cfg := experiments.Config{
 		Draws: *draws, Thin: *thin, Seed: *seed, MIPTimeLimit: *mipTime,
-		Workers: *workers, ExactWorkers: *exactW, ExactNoRelax: *exactNR,
-		ExactNoIncBound: *exactNIB,
-		Polish:          *polish, PolishBudget: *pBudget,
+		Workers: *workers, ExactWorkers: *exactW, ExactNoIncBound: *exactNIB,
+		Polish: *polish, PolishBudget: *pBudget,
 	}
 	if *progress {
 		cfg.Progress = func(done, total int) {
@@ -93,8 +91,7 @@ func main() {
 		if *coord != "" {
 			r, err = fabric.SubmitCampaign(ctx, nil, *coord, fabric.CampaignSpec{
 				Figure: n, Draws: *draws, Seed: *seed, Thin: *thin,
-				MIPTimeLimitMs: mipTime.Milliseconds(), ExactWorkers: *exactW,
-				ExactNoRelax: *exactNR, ExactNoIncB: *exactNIB,
+				MIPTimeLimitMs: mipTime.Milliseconds(), ExactWorkers: *exactW, ExactNoIncB: *exactNIB,
 				Polish: *polish, PolishBudget: *pBudget,
 			})
 		} else {

@@ -60,8 +60,6 @@ func main() {
 		thin    = flag.Int("thin", 0, "with -fig: keep every k-th x point (0 = all)")
 		workers = flag.Int("workers", 0, "concurrent workers: draw workers with -fig, root-split workers with -solver exact (0 = all CPUs, 1 = sequential)")
 		warm    = flag.Bool("warm", true, "with -solver exact: seed the incumbent with the H4w heuristic")
-		noAB    = flag.Bool("no-assign-bound", false, "with -solver exact: disable the bottleneck-assignment bound tier (ablation; the optimum is unaffected)")
-		noLPB   = flag.Bool("no-lp-bound", false, "with -solver exact: disable the LP relaxation bound tier (ablation; the optimum is unaffected)")
 		noIncB  = flag.Bool("no-inc-bound", false, "with -solver exact: recompute the per-node bound from scratch instead of the delta-maintained cache (ablation; results are byte-identical)")
 	)
 	flag.Parse()
@@ -87,7 +85,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*inPath, name, *rule, *seed, *outPath, *xout, *polish, *pBudget, *workers, *warm, *noAB, *noLPB, *noIncB); err != nil {
+	if err := run(*inPath, name, *rule, *seed, *outPath, *xout, *polish, *pBudget, *workers, *warm, *noIncB); err != nil {
 		fmt.Fprintln(os.Stderr, "microfab:", err)
 		os.Exit(1)
 	}
@@ -105,7 +103,7 @@ func runFigure(fig, draws, thin, workers int, seed int64, polish string, polishB
 	return nil
 }
 
-func run(inPath, method, ruleName string, seed int64, outPath string, xout float64, polish string, polishBudget int, workers int, warm, noAssignBound, noLPBound, noIncBound bool) error {
+func run(inPath, method, ruleName string, seed int64, outPath string, xout float64, polish string, polishBudget int, workers int, warm, noIncBound bool) error {
 	in, err := instance.Load(inPath)
 	if err != nil {
 		return err
@@ -139,8 +137,6 @@ func run(inPath, method, ruleName string, seed int64, outPath string, xout float
 			TimeLimit:               30 * time.Second,
 			Workers:                 w,
 			WarmStart:               warm,
-			DisableAssignBound:      noAssignBound,
-			DisableLPBound:          noLPBound,
 			DisableIncrementalBound: noIncBound,
 		})
 		if err != nil {

@@ -184,59 +184,26 @@ func BenchmarkExactParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignmentBound measures tier 2 of the relaxation stack at a
-// fixed interior node: the argmin-collision scan plus the bottleneck
-// assignment over live completion prices. Symmetric machines make the
-// relevant tasks share their cheapest-landing machine, so the scan never
-// takes the free skip — this is the paid path the search actually charges
-// for when the tier fires.
+// BenchmarkAssignmentBound measures the one-to-one bottleneck-assignment
+// bound at a fixed interior node: the argmin-collision scan plus the
+// bottleneck assignment over live completion prices. Symmetric machines
+// make the unplaced tasks share their cheapest-landing machine, so the scan
+// never takes the free skip — this is the paid path the search charges for
+// when the bound fires.
 func BenchmarkAssignmentBound(b *testing.B) {
-	cases := []struct {
-		name string
-		rule core.Rule
-		in   *core.Instance
-	}{
-		{"one-to-one", core.OneToOne, symmetricInstanceF(b, 12, 2, 14, 4, 0, 0.05, 31)},
-		{"specialized", core.Specialized, symmetricInstanceF(b, 16, 2, 8, 4, 0.005, 0.05, 77)},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			order := c.in.App.ReverseTopological()
-			prefix := feasiblePrefix(c.in, c.rule, order, 2, func(j int) int { return j })
-			s, _ := relaxAt(b, c.in, c.rule, prefix)
-			k := len(prefix)
-			if _, _, tried := s.assignmentBound(k); !tried {
-				b.Fatal("benchmark node skipped the assignment bound (no argmin collision)")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.assignmentBound(k)
-			}
-		})
-	}
-}
-
-// BenchmarkLPBoundWarmStart measures tier 3 plus the lp.Workspace warm
-// start: repeated solves of the same-shaped relaxation, every one after
-// the first re-entering through the retained basis the way sibling nodes
-// do in the search. warmhits/solve reports the fraction that stayed on
-// the warm path (1.0 = the cold two-phase solve never re-ran).
-func BenchmarkLPBoundWarmStart(b *testing.B) {
-	in := symmetricInstanceF(b, 16, 2, 8, 4, 0.005, 0.05, 77)
-	order := in.App.ReverseTopological()
-	prefix := feasiblePrefix(in, core.Specialized, order, 2, func(j int) int { return j })
-	s, _ := relaxAt(b, in, core.Specialized, prefix)
-	k := len(prefix)
-	if _, ok := s.lpBound(k); !ok {
-		b.Fatal("LP bound did not solve at the benchmark node")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.lpBound(k)
-	}
-	b.StopTimer()
-	solves, hits := s.rx.lw.Stats()
-	b.ReportMetric(float64(hits)/float64(solves), "warmhits/solve")
+	b.Run("one-to-one", func(b *testing.B) {
+		in := symmetricInstanceF(b, 12, 2, 14, 4, 0, 0.05, 31)
+		prefix := feasiblePrefix(in, core.OneToOne, in.App.ReverseTopological(), 2, func(j int) int { return j })
+		s := assignAt(b, in, prefix)
+		k := len(prefix)
+		if _, ok := s.assignmentBound(k); !ok {
+			b.Fatal("benchmark node skipped the assignment bound (no argmin collision)")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.assignmentBound(k)
+		}
+	})
 }
 
 // BenchmarkBoundMaintenance pits the incremental bound engine against its
@@ -276,26 +243,4 @@ func BenchmarkBoundMaintenance(b *testing.B) {
 			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 		})
 	}
-}
-
-// BenchmarkExactSolveRelax is BenchmarkExactSolveEvaluator with the
-// relaxation tiers forced live from the first node (warmup zeroed): on an
-// instance this small the tiers cannot pay for themselves, so the ns/op
-// delta against the Evaluator series prices the tier machinery itself —
-// the cost the warmup gate exists to keep off short solves.
-func BenchmarkExactSolveRelax(b *testing.B) {
-	in := benchInstance(b)
-	old := relaxWarmup
-	relaxWarmup = 0
-	defer func() { relaxWarmup = old }()
-	var nodes int64
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
-		res, err := Solve(in, Options{Rule: core.Specialized})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = res.Nodes
-	}
-	b.ReportMetric(float64(nodes)*float64(b.N)/b.Elapsed().Seconds(), "nodes/s")
 }

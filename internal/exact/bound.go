@@ -17,6 +17,9 @@
 //     when more types than machines remain, which also proves
 //     infeasibility.
 //
+// Under the one-to-one rule a fourth relaxation, the bottleneck assignment
+// of unplaced tasks to free machines (relax.go), tops these off.
+//
 // Admissibility is fuzz-gated by FuzzExactBound against a brute-force
 // completion oracle.
 package exact
@@ -110,7 +113,8 @@ const sumSlack = 1 - 1e-12
 
 // lowerBound returns an admissible lower bound on the period of any
 // completion of the current node (order[0..k) placed). O((n-k)·m) plus
-// the water-filling pass under the Specialized rule.
+// the water-filling pass under the Specialized rule, or the bottleneck
+// assignment under the one-to-one rule (relax.go).
 //
 // localBest and sharedP are the caller's pruning thresholds: the bound
 // only ever grows while it accumulates, so the moment it crosses one
@@ -122,18 +126,6 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 	lb := s.pr.Max()
 	if k == n || lb >= localBest || lb > sharedP {
 		return lb
-	}
-	if s.relaxEnabled && s.rx == nil && s.meter.used >= relaxWarmup {
-		// The search outgrew the relaxWarmup node count: build the
-		// relaxation tiers (relax.go). Easy searches never get here, so
-		// they never pay for the workspaces. The incremental mode owns
-		// minLand/landArg from the start; only the from-scratch ablation
-		// allocates them here, on first need.
-		s.rx = newRelaxer(s.in, s.noAssign, s.noLP)
-		if s.minLand == nil {
-			s.minLand = make([]float64, n)
-			s.landArg = make([]int, n)
-		}
 	}
 	b := s.bnd
 	spec := s.rule == core.Specialized
@@ -200,7 +192,9 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 			}
 		}
 	} else {
-		track := s.rx != nil
+		// Only a searcher with the one-to-one assignment bound allocates
+		// minLand/landArg in this mode (relax.go reads them).
+		track := s.minLand != nil
 		for j := k; j < n; j++ {
 			i := s.order[j]
 			var d float64
@@ -230,8 +224,6 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 				}
 			}
 			if track {
-				// The relaxation tiers' collision gate and representative
-				// choice read these (relax.go) instead of re-pricing.
 				s.minLand[j] = land
 				s.landArg[j] = landAt
 			}
@@ -266,11 +258,12 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 	} else if pk := total / float64(s.m) * sumSlack; pk > lb {
 		lb = pk
 	}
-	if s.rx != nil {
-		// Relaxation tiers (relax.go): the combinatorial bound failed to
-		// prune, s.dlb is filled for this node — strengthen if the gates
-		// say the extra work can convert.
-		lb = s.strengthen(k, lb, localBest, sharedP)
+	if s.ab != nil {
+		// One-to-one (relax.go): the combinatorial bound failed to prune
+		// and s.dlb/s.landArg are filled for this node.
+		if v, ok := s.assignmentBound(k); ok && v > lb {
+			lb = v
+		}
 	}
 	return lb
 }

@@ -25,8 +25,10 @@
 //   - An admissible per-node lower bound (bound.go): the cheapest possible
 //     remaining work of the unplaced tasks, aggregated per machine count —
 //     with a type-count water-filling refinement under the Specialized rule
-//     — never exceeds the best completion of the node, so a node whose
-//     bound reaches the incumbent is pruned without visiting its subtree
+//     and a bottleneck-assignment bound under the one-to-one rule
+//     (relax.go; Options.DisableAssignBound ablates) — never exceeds the
+//     best completion of the node, so a node whose bound reaches the
+//     incumbent is pruned without visiting its subtree
 //     (Options.DisableBound ablates).
 //   - A best-first child order plus a greedy restart dive: before the
 //     systematic pass, one un-metered greedy descent (take the feasible
@@ -134,12 +136,14 @@ type Options struct {
 	// DisableBound turns the admissible per-node lower bound off, for
 	// ablations and node-count tests. The optimum is unaffected either way.
 	DisableBound bool
-	// DisableAssignBound turns the bottleneck-assignment relaxation tier
-	// off (relax.go), leaving the combinatorial bound (and the LP tier)
-	// alone, for ablations. The optimum is unaffected either way.
+	// DisableAssignBound turns the one-to-one bottleneck-assignment bound
+	// off (relax.go), leaving the combinatorial bound alone, for ablations.
+	// It has no effect under the Specialized and General rules, where the
+	// bound does not apply. The optimum is unaffected either way.
 	DisableAssignBound bool
-	// DisableLPBound turns the LP relaxation tier off (relax.go), for
-	// ablations. The optimum is unaffected either way.
+	// DisableLPBound ablated an LP relaxation bound that has been removed.
+	//
+	// Deprecated: no effect; kept so existing callers compile.
 	DisableLPBound bool
 	// DisableIncrementalBound makes every node recompute the lower bound's
 	// demand and landing ingredients from scratch instead of maintaining
@@ -198,7 +202,6 @@ type solver struct {
 	noSym    bool
 	noOrder  bool
 	noAssign bool
-	noLP     bool
 	noInc    bool
 	bnd      *bounder
 	bud      *budget
@@ -269,8 +272,8 @@ type searcher struct {
 	// In the default incremental mode (inc) they are allocated up front and
 	// maintained as deltas alongside dlb (bound.go); in the from-scratch
 	// ablation they are filled by lowerBound's main loop and allocated only
-	// when the relaxation tiers — whose collision gate and representative
-	// choice read them instead of re-pricing (relax.go) — come live.
+	// for the one-to-one assignment bound, whose collision filter reads
+	// them instead of re-pricing (relax.go).
 	minLand []float64
 	landArg []int
 
@@ -306,14 +309,9 @@ type searcher struct {
 	ibDem      []float64
 	ibOut      []float64
 
-	// rx holds the relaxation tiers' workspaces and gate state (relax.go).
-	// It is built lazily, on the first bound computed past the relaxWarmup
-	// node count, so easy searches never pay for it; relaxEnabled says
-	// whether it ever will be (bound on, at least one tier not ablated).
-	rx           *relaxer
-	relaxEnabled bool
-	noAssign     bool
-	noLP         bool
+	// ab is the one-to-one bottleneck-assignment bound's workspace
+	// (relax.go); nil under the other rules or when the bound is ablated.
+	ab *assignBound
 
 	// shared is the cross-worker incumbent (nil in a sequential search).
 	shared *incumbent
@@ -402,7 +400,6 @@ func newSolver(in *core.Instance, opts Options) (*solver, error) {
 		noSym:      opts.DisableDominance,
 		noOrder:    opts.DisableOrder,
 		noAssign:   opts.DisableAssignBound,
-		noLP:       opts.DisableLPBound,
 		noInc:      opts.DisableIncrementalBound,
 		bud:        newBudget(opts),
 		onImprove:  opts.OnImprove,
@@ -605,9 +602,8 @@ func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 	}
 	if s.bnd = sv.bnd; s.bnd != nil {
 		p := sv.in.P()
-		if !(sv.noAssign && sv.noLP) {
-			s.relaxEnabled = true
-			s.noAssign, s.noLP = sv.noAssign, sv.noLP
+		if sv.rule == core.OneToOne && !sv.noAssign {
+			s.ab = newAssignBound(m)
 		}
 		if !sv.noInc {
 			s.inc = true
@@ -641,6 +637,10 @@ func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 			s.ded, s.alloc = ints[:p:p], ints[p:]
 			floats := make([]float64, n+p)
 			s.dlb, s.typeW = floats[:n:n], floats[n:]
+			if s.ab != nil {
+				s.minLand = make([]float64, n)
+				s.landArg = make([]int, n)
+			}
 		}
 	}
 	return s

@@ -1,8 +1,8 @@
 // Differential gates for the incremental bound engine (bound.go): the
 // delta-maintained dlb/minLand/landArg state must reproduce the
 // from-scratch computation bit for bit at every node — not approximately,
-// because the bound's early-exit comparisons and the relax tiers' collision
-// gate read these values, and a single flipped bit could reshape the search
+// because the bound's early-exit comparisons and the assignment bound's
+// collision filter read these values, and a single flipped bit could reshape the search
 // tree. Three layers pin this:
 //
 //   - TestIncrementalBoundNodeIdentity: whole solves over the parallel
@@ -14,7 +14,8 @@
 //     fresh from-scratch searcher replayed to the same prefix;
 //   - TestLowerBoundEarlyExitContract: the tested contract that an early
 //     bound exit leaves the not-yet-filled (or still-stale) suffix of
-//     minLand/landArg unread — strengthen only runs after a full fill.
+//     minLand/landArg unread — the assignment bound only runs after a full
+//     fill.
 //
 // Smoke-run the fuzzer locally or in CI with:
 //
@@ -81,20 +82,13 @@ func TestIncrementalBoundNodeIdentity(t *testing.T) {
 }
 
 // TestIncrementalBoundNodeIdentityRelaxForced repeats the sequential
-// node-identity gate with the relaxation tiers live from the first node:
-// the tiers read the cached minLand/landArg directly, so this leg proves
-// the incremental cache feeds them the exact bits the from-scratch fill
-// would — gate-state evolution, collision scans and all.
+// node-identity gate on the one-to-one corpus, where the assignment bound
+// reads the cached landArg directly: this leg proves the incremental cache
+// feeds it the exact bits the from-scratch fill would, collision scans and
+// all.
 func TestIncrementalBoundNodeIdentityRelaxForced(t *testing.T) {
 	defer forceIncBound(t)()
-	old := relaxWarmup
-	relaxWarmup = 0
-	defer func() { relaxWarmup = old }()
-	corpus := differentialCorpus(t)
-	for ci, c := range corpus {
-		if ci%2 != 0 {
-			continue
-		}
+	for ci, c := range oneToOneCorpus(t) {
 		opts := Options{Rule: c.rule, MaxNodes: 4_000_000}
 		inc, err := Solve(c.in, opts)
 		if err != nil {
@@ -109,7 +103,7 @@ func TestIncrementalBoundNodeIdentityRelaxForced(t *testing.T) {
 		if inc.Nodes != scratch.Nodes ||
 			math.Float64bits(inc.Period) != math.Float64bits(scratch.Period) ||
 			inc.Mapping.String() != scratch.Mapping.String() {
-			t.Fatalf("%s[%d]: relax-forced runs diverged: incremental (%d nodes, %v), from-scratch (%d nodes, %v)",
+			t.Fatalf("%s[%d]: one-to-one runs diverged: incremental (%d nodes, %v), from-scratch (%d nodes, %v)",
 				c.name, ci, inc.Nodes, inc.Period, scratch.Nodes, scratch.Period)
 		}
 	}
@@ -218,14 +212,13 @@ func FuzzBoundDelta(f *testing.F) {
 			// Full +Inf walk refreshes every stale landing in [k, n) and
 			// returns the complete bound value.
 			got := s.lowerBound(k, math.Inf(1), math.Inf(1))
-			// From-scratch oracle at the same node, relax tracking forced
-			// so its minLand/landArg fill too.
+			// From-scratch oracle at the same node, with minLand/landArg
+			// allocated so lowerBound fills them too.
 			sv2, err := newSolver(in, Options{Rule: rule, DisableIncrementalBound: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			s2 := sv2.newSearcher(nil)
-			s2.rx = newRelaxer(in, false, false)
 			s2.minLand = make([]float64, n)
 			s2.landArg = make([]int, n)
 			s2.push(w.prefix())
@@ -288,12 +281,11 @@ func FuzzBoundDelta(f *testing.F) {
 }
 
 // TestLowerBoundEarlyExitContract pins the early-exit invariant from both
-// sides. From-scratch mode: when the bound returns early, the relax tiers
-// must not have run (strengthen is only reached after a full fill), and the
+// sides. From-scratch mode: when the bound returns early, the
 // minLand/landArg suffix past the exit point must be untouched — poisoned
-// sentinels survive. Incremental mode: the same no-strengthen guarantee,
-// with the stale marks past the last refresh window left standing rather
-// than repriced. A +Inf call afterwards must fill (or refresh) everything.
+// sentinels survive. Incremental mode: the stale marks past the last
+// refresh window are left standing rather than repriced. A +Inf call
+// afterwards must fill (or refresh) everything.
 func TestLowerBoundEarlyExitContract(t *testing.T) {
 	defer forceIncBound(t)()
 	in := symmetricInstanceF(t, 10, 2, 5, 3, 0.005, 0.05, 404)
@@ -308,7 +300,6 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	so := svO.newSearcher(nil)
-	so.rx = newRelaxer(in, false, false)
 	so.minLand = make([]float64, n)
 	so.landArg = make([]int, n)
 	if lb := so.lowerBound(0, math.Inf(1), math.Inf(1)); math.IsInf(lb, 1) {
@@ -325,7 +316,6 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := sv.newSearcher(nil)
-		s.rx = newRelaxer(in, false, false)
 		s.minLand = make([]float64, n)
 		s.landArg = make([]int, n)
 		for j := range s.minLand {
@@ -335,9 +325,6 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 		lb := s.lowerBound(0, thr, math.Inf(1))
 		if lb < thr {
 			t.Fatalf("bound %v did not reach the exit threshold %v", lb, thr)
-		}
-		if s.rx.aTries != 0 || s.rx.lTries != 0 {
-			t.Fatalf("relax tiers ran on an early-exited bound (aTries=%d, lTries=%d)", s.rx.aTries, s.rx.lTries)
 		}
 		// The exit fired at j=0: every later position must still be poisoned.
 		for j := 1; j < n; j++ {
@@ -366,7 +353,6 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 		if !s.inc {
 			t.Fatal("default searcher is not incremental")
 		}
-		s.rx = newRelaxer(in, false, false)
 		// Landings start lazily stale; one full root bound fills the cache
 		// so the descend below has fresh argmins to invalidate.
 		if lb := s.lowerBound(0, math.Inf(1), math.Inf(1)); math.IsInf(lb, 1) {
@@ -392,17 +378,13 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 
 		// Top-of-bound exit (the common pruned-node path): the current
 		// maximum already meets the threshold, so the walk never starts —
-		// the deferred delta sweep is not even applied, zero re-pricing,
-		// no tiers.
+		// the deferred delta sweep is not even applied, zero re-pricing.
 		lb := s.lowerBound(1, s.pr.Max(), s.pr.Max())
 		if math.Float64bits(lb) != math.Float64bits(s.pr.Max()) {
 			t.Fatalf("top exit returned %v, want the current maximum %v", lb, s.pr.Max())
 		}
 		if s.ibNPend != 1 {
 			t.Fatal("top exit applied the deferred delta sweep")
-		}
-		if s.rx.aTries != 0 || s.rx.lTries != 0 {
-			t.Fatalf("relax tiers ran on a top-exited bound (aTries=%d, lTries=%d)", s.rx.aTries, s.rx.lTries)
 		}
 
 		// Mid-loop exit at the first suffix position: take the threshold
@@ -413,7 +395,6 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		s2 := svO2.newSearcher(nil)
-		s2.rx = newRelaxer(in, false, false)
 		s2.minLand = make([]float64, n)
 		s2.landArg = make([]int, n)
 		s2.push(w.prefix())
@@ -428,9 +409,6 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 		}
 		if s.ibNPend != 0 {
 			t.Fatalf("bound walk left the delta sweep pending (%d)", s.ibNPend)
-		}
-		if s.rx.aTries != 0 || s.rx.lTries != 0 {
-			t.Fatalf("relax tiers ran on an early-exited bound (aTries=%d, lTries=%d)", s.rx.aTries, s.rx.lTries)
 		}
 		// The sweep (applied just now) invalidated position n-1 — u0 was its
 		// argmin — and the exit fired inside the first refresh window

@@ -1,461 +1,106 @@
-// Tiered relaxation bounds for the branch and bound: when the cheap
-// combinatorial bound (bound.go) lands close to the pruning threshold but
-// not over it, the node is worth a stronger — and costlier — relaxation
-// before its subtree is expanded.
+// The one-to-one relaxation bound: under the one-to-one rule every unplaced
+// task occupies its own still-free machine, so the min-max perfect
+// assignment of unplaced tasks to free machines — each cell the exact
+// landing price at the task's demand lower bound, off the Pricer's SoA
+// rows — bounds every completion's period from below. internal/hungarian
+// solves it; hungarian.ErrNoPerfectMatching proves the node infeasible.
 //
-//	tier 1  combinatorial      O((n-k)·m)          every node (bound.go)
-//	tier 2  bottleneck assign  O((n-k)·m·√ + sort)  rule-constrained nodes
-//	tier 3  LP relaxation      simplex, warm-started within a tree level
+// The bound runs behind a lossless filter: the bottleneck value exceeds the
+// combinatorial bound's cheapest-landing maximum *iff* the min-landing
+// assignment is not itself a matching, i.e. two unplaced tasks share an
+// argmin machine. lowerBound's main loop records each task's argmin for
+// free, so the matcher runs only after an O(n-k) duplicate scan finds a
+// collision.
 //
-// Tier 2 prices every unplaced task's feasible landings off the Pricer's
-// SoA rows and solves a min-max one-to-one relaxation with
-// internal/hungarian: under the one-to-one rule the unplaced tasks really
-// do occupy pairwise-distinct (still-free) machines, so the bottleneck
-// assignment value is a valid lower bound on any completion's period;
-// under the Specialized rule the same holds for one representative task
-// per remaining type (distinct types occupy distinct machines), with the
-// representative chosen — deterministically — as the type's hardest task,
-// the one whose cheapest feasible landing is largest. Under the general
-// rule there is no injectivity to exploit and the tier is skipped.
+// The rule decides whether the bound exists, not a gate: the searcher
+// builds it for one-to-one searches with the bound on
+// (Options.DisableAssignBound ablates), and it runs at every node the
+// combinatorial bound fails to prune. Its value is therefore a pure
+// function of the node, like the rest of lowerBound. Under the Specialized
+// and General rules distinct tasks may share a machine and the bound does
+// not apply.
 //
-// Tier 3 solves the fractional assignment LP
-//
-//	min T   s.t.  Σ_u y[i,u] = 1                    (each unplaced task lands)
-//	              load(u) + Σ_i c(i,u)·y[i,u] <= T  (per machine)
-//	              Σ_i y[i,u] <= 1                   (one-to-one capacity)
-//	              y >= 0, infeasible pairs fixed to 0
-//
-// with c(i,u) = (dlb(i)·F(i,u))·w(i,u), the exact landing increment the
-// DFS itself would pay at demand lower bound dlb. Any completion induces an
-// integral feasible y, so the LP optimum never exceeds the true optimum;
-// the reported objective is deflated by lpSlack to absorb simplex
-// round-off, and any non-Optimal LP status yields no bound at all
-// (admissibility over speed — a half-converged tableau proves nothing).
-// Sibling nodes share a tableau shape, so the per-searcher lp.Workspace
-// warm-starts most solves from the previous sibling's basis.
-//
-// Both tiers are admissibility-fuzzed against the exhaustive completion
-// oracle (FuzzAssignmentBound, FuzzLPBound) exactly like the combinatorial
-// bound.
-//
-// Activation is gated three ways, because a relaxation only pays when its
-// cost is smaller than the subtree it might cut:
-//
-//   - strength: a tier runs only when the combinatorial bound already
-//     reached a fraction (the tier's gate) of the pruning threshold, and
-//     each searcher adapts that fraction with an amortized controller —
-//     every gateWindow attempts, a tier that almost never converts into a
-//     prune is throttled (gate up), one that converts often is let loose
-//     (gate down);
-//   - collision (tier 2): the bottleneck value exceeds tier 1's
-//     cheapest-landing maximum *iff* the min-landing assignment is not
-//     itself a matching, i.e. two relevant tasks share an argmin machine.
-//     lowerBound's main loop records each task's argmin for free, so the
-//     matcher runs only after an O(n-k) duplicate scan finds a collision —
-//     a lossless filter, not a heuristic;
-//   - depth (tier 3): a prune at depth k cuts a subtree exponential in
-//     n-k, while the simplex costs the same everywhere, so the LP runs
-//     only in the top third of the tree (rem*3 >= 2n) where a conversion
-//     pays for hundreds of misses.
-//
-// A per-searcher warmup (relaxWarmup nodes) on top of all three keeps easy
-// searches on the pure combinatorial bound.
-//
-// The gates and the warmup make bound *values* history-dependent — under a
-// parallel root split even timing-dependent, since a worker's node count
-// depends on which subtrees it happened to draw. That is
-// deliberately safe: every value any gate state produces is admissible, and
-// the proven result of the search is invariant under swapping one
-// admissible bound for another — ancestors of the first optimum-attaining
-// leaf in DFS order satisfy lb <= P* for every admissible lb, so neither
-// the >=-test against the (deterministically evolving) local incumbent nor
-// the strict test against the shared one can prune them; only node counts
-// move. TestExactParallelDifferential and TestExactDistributedMatchesLocal
-// pin exactly this: byte-equal proofs with the tiers on or off, for any
-// worker count.
+// Admissibility is fuzz-gated by FuzzAssignmentBound against the exhaustive
+// completion oracle, like the combinatorial bound.
 package exact
 
 import (
 	"errors"
 	"math"
 
-	"microfab/internal/core"
 	"microfab/internal/hungarian"
-	"microfab/internal/lp"
-	"microfab/internal/platform"
 )
 
-// relaxWarmup: nodes a searcher must have expanded before the tiers
-// activate. A search that finishes in a few thousand nodes is cheaper
-// than the relaxations it would run — the tiers exist for searches in
-// the millions, and those pass the warmup in microseconds. A variable so
-// the admissibility and dominance tests can force activation on small
-// instances; production code never writes it.
-var relaxWarmup = int64(4096)
-
-const (
-	// assignMinRem / lpMinRem: minimum unplaced-task counts for a tier to
-	// beat tier 1. One remaining task's bottleneck is its cheapest landing
-	// — tier 1 already has it; tiny LPs prune almost nothing tier 2 missed.
-	assignMinRem = 2
-	lpMinRem     = 4
-
-	// Initial gates: run a tier only when tier 1 reached this fraction of
-	// the pruning threshold. Tuned from there by the controller.
-	assignGate0 = 0.80
-	lpGate0     = 0.80
-
-	// Controller: every gateWindow attempts per tier, move the gate by
-	// gateStep — up (throttle) when fewer than 2% of attempts pruned, down
-	// (spend more) when more than 25% did — within [floor, ceiling].
-	gateWindow      = 256
-	gateStep        = 0.05
-	assignGateFloor = 0.30
-	assignGateCeil  = 0.95
-	lpGateFloor     = 0.40
-	lpGateCeil      = 0.97
-
-	// lpIterCap bounds per-node simplex pivots; the bound LPs have
-	// O(n + 2m) rows, so hundreds of pivots means numerical trouble, and a
-	// capped solve correctly reports no bound.
-	lpIterCap = 600
-
-	// lpSlack deflates the LP objective before it is used as a bound: the
-	// simplex works at 1e-7/1e-9 tolerances and its objective can overshoot
-	// the exact LP optimum by round-off, and the LP's real-arithmetic sums
-	// associate differently from any machine's float load sum. 1e-6
-	// relative slack buries both effects; the pruning power lost is
-	// invisible next to sumSlack's reasoning in bound.go.
-	lpSlack = 1 - 1e-6
-)
-
-// relaxer is one searcher's relaxation-tier state: the reusable hungarian
-// and LP workspaces, flat scratch, and the adaptive gate controller. All
-// private to the owning goroutine, like the rest of the searcher.
-type relaxer struct {
-	hs    *hungarian.Solver
-	lw    *lp.Workspace
-	model *lp.Model
-
-	// Shared read-only SoA tables (see core.InflationTable).
-	infl, tim []float64
-
-	cost    []float64 // flat landing matrix for the bottleneck tier
-	cols    []int     // column -> machine id
-	repTask []int     // per-type representative (order position; -1 none)
-	coefs   []lp.Coef // row-building scratch (AddRow copies)
+// assignBound is one searcher's bottleneck-assignment workspace: the
+// reusable matcher and flat scratch, private to the owning goroutine like
+// the rest of the searcher.
+type assignBound struct {
+	hs   *hungarian.Solver
+	cost []float64 // flat landing matrix: unplaced tasks × free machines
+	cols []int     // column -> machine id
 
 	// seen/stamp: O(1)-reset machine marks for the argmin-collision scan.
 	seen  []int
 	stamp int
-
-	noAssign, noLP bool
-
-	assignGate, lpGate           float64
-	aTries, aHits, lTries, lHits int
 }
 
-func newRelaxer(in *core.Instance, noAssign, noLP bool) *relaxer {
-	return &relaxer{
-		hs:         hungarian.NewSolver(),
-		lw:         lp.NewWorkspace(),
-		model:      lp.NewModel(0),
-		infl:       core.InflationTable(in),
-		tim:        core.TimeTable(in),
-		cols:       make([]int, in.M()),
-		repTask:    make([]int, in.P()),
-		seen:       make([]int, in.M()),
-		noAssign:   noAssign,
-		noLP:       noLP,
-		assignGate: assignGate0,
-		lpGate:     lpGate0,
-	}
+func newAssignBound(m int) *assignBound {
+	return &assignBound{hs: hungarian.NewSolver(), cols: make([]int, m), seen: make([]int, m)}
 }
 
-// strengthen runs the relaxation tiers on a node the combinatorial bound
-// (lb) failed to prune, returning a possibly-raised admissible bound. It
-// requires lowerBound's main loop to have completed for depth k, so
-// s.dlb[k..n) holds the node's demand lower bounds.
-func (s *searcher) strengthen(k int, lb, localBest, sharedP float64) float64 {
-	rx := s.rx
-	thr := localBest
-	if sharedP < thr {
-		thr = sharedP
-	}
-	if math.IsInf(thr, 1) {
-		// No incumbent to prune against: a stronger bound changes nothing.
-		return lb
-	}
-	rem := len(s.order) - k
-	if !rx.noAssign && s.rule != core.GeneralRule && rem >= assignMinRem && lb >= rx.assignGate*thr {
-		ab, ok, tried := s.assignmentBound(k)
-		if tried {
-			// Collision-skips stay out of the controller's stats: they cost
-			// one linear scan, not a matching, and throttling on them would
-			// starve the tier on instances with rare-but-deep collisions.
-			rx.aTries++
-			if ok && ab > lb {
-				lb = ab
-			}
-			if lb >= localBest || lb > sharedP {
-				rx.aHits++
-				rx.tune()
-				return lb
-			}
-			rx.tune()
-		}
-	}
-	if !rx.noLP && rem >= lpMinRem && rem*3 >= len(s.order)*2 && lb >= rx.lpGate*thr {
-		rx.lTries++
-		if v, ok := s.lpBound(k); ok && v > lb {
-			lb = v
-		}
-		if lb >= localBest || lb > sharedP {
-			rx.lHits++
-		}
-		rx.tune()
-	}
-	return lb
-}
-
-// tune is the amortized gate controller (see the package comment). It runs
-// after every tier attempt but only moves a gate once per gateWindow
-// attempts of that tier.
-func (rx *relaxer) tune() {
-	if rx.aTries >= gateWindow {
-		switch {
-		case rx.aHits*50 < rx.aTries: // < 2% conversions: throttle
-			rx.assignGate = math.Min(rx.assignGate+gateStep, assignGateCeil)
-		case rx.aHits*4 > rx.aTries: // > 25%: the tier is earning; widen
-			rx.assignGate = math.Max(rx.assignGate-gateStep, assignGateFloor)
-		}
-		rx.aTries, rx.aHits = 0, 0
-	}
-	if rx.lTries >= gateWindow {
-		switch {
-		case rx.lHits*50 < rx.lTries:
-			rx.lpGate = math.Min(rx.lpGate+gateStep, lpGateCeil)
-		case rx.lHits*4 > rx.lTries:
-			rx.lpGate = math.Max(rx.lpGate-gateStep, lpGateFloor)
-		}
-		rx.lTries, rx.lHits = 0, 0
-	}
-}
-
-// markCollision stamps machine u in the collision scan; true once two
-// stamped tasks share a machine. u < 0 (a task with no feasible landing)
-// counts as a collision so the matcher runs and proves +Inf.
-func (rx *relaxer) markCollision(u int) bool {
-	if u < 0 || rx.seen[u] == rx.stamp {
-		return true
-	}
-	rx.seen[u] = rx.stamp
-	return false
-}
-
-// assignmentBound is the bottleneck tier. It returns (bound, ok, tried):
-// ok=false when the rule offers no injectivity here, and tried=false is
-// the zero-cost exit — the relevant tasks' cheapest-landing machines are
-// pairwise distinct, so the min-landing assignment is itself a feasible
-// matching, the bottleneck value equals tier 1's cheapest-landing maximum
-// exactly, and running the matcher could not raise the bound. +Inf (with
-// ok) proves the node infeasible — more tasks or task types than machines
-// can carry them, or no perfect matching at all. Requires s.dlb, s.minLand
-// and s.landArg filled for depth k (lowerBound's main loop).
-func (s *searcher) assignmentBound(k int) (float64, bool, bool) {
-	rx := s.rx
+// assignmentBound returns the bottleneck-assignment bound of the node and
+// true, or false when the bound cannot beat the combinatorial one: the
+// unplaced tasks' cheapest-landing machines are pairwise distinct, so the
+// min-landing assignment is itself a feasible matching and its value is
+// exactly the cheapest-landing maximum lowerBound already has. +Inf proves
+// the node infeasible — more unplaced tasks than free machines, or no
+// perfect matching at all. Requires s.dlb and s.landArg filled for depth k
+// (lowerBound's main loop).
+func (s *searcher) assignmentBound(k int) (float64, bool) {
+	ab := s.ab
 	n := len(s.order)
-	switch s.rule {
-	case core.OneToOne:
-		// Every unplaced task occupies its own still-free machine, so the
-		// min-max perfect assignment of tasks to free machines — each cell
-		// the exact landing price at the task's demand lower bound — bounds
-		// every completion from below.
-		cols := rx.cols[:0]
-		for u := 0; u < s.m; u++ {
-			if !s.used[u] {
-				cols = append(cols, u)
-			}
+	cols := ab.cols[:0]
+	for u := 0; u < s.m; u++ {
+		if !s.used[u] {
+			cols = append(cols, u)
 		}
-		nr, nc := n-k, len(cols)
-		if nr > nc {
-			return math.Inf(1), true, true
-		}
-		rx.stamp++
-		collide := false
-		for j := k; j < n && !collide; j++ {
-			collide = rx.markCollision(s.landArg[j])
-		}
-		if !collide {
-			return 0, false, false
-		}
-		if cap(rx.cost) < nr*nc {
-			rx.cost = make([]float64, nr*nc)
-		}
-		cost := rx.cost[:nr*nc]
-		for r := 0; r < nr; r++ {
-			j := k + r
-			s.pr.PriceAllAt(s.order[j], s.dlb[j], s.land)
-			row := cost[r*nc:]
-			for c, u := range cols {
-				row[c] = s.land[u]
-			}
-		}
-		_, b, err := rx.hs.Bottleneck(cost, nr, nc)
-		if err != nil {
-			if errors.Is(err, hungarian.ErrNoPerfectMatching) {
-				return math.Inf(1), true, true
-			}
-			return 0, false, true
-		}
-		return b, true, true
-
-	case core.Specialized:
-		// Distinct remaining types end up on distinct machines (each type
-		// on machines dedicated to it), so one representative task per
-		// remaining type forms a one-to-one sub-problem over all machines.
-		// The representative is the type's hardest unplaced task — largest
-		// cheapest-feasible-landing — a pure function of the node (ties
-		// keep the earliest order position).
-		for t := range rx.repTask {
-			rx.repTask[t] = -1
-		}
-		nr := 0
-		for j := k; j < n; j++ {
-			ty := int(s.in.App.Type(s.order[j]))
-			if r := rx.repTask[ty]; r < 0 {
-				rx.repTask[ty] = j
-				nr++
-			} else if s.minLand[j] > s.minLand[r] {
-				rx.repTask[ty] = j
-			}
-		}
-		if nr > s.m {
-			return math.Inf(1), true, true
-		}
-		if nr < 2 {
-			// A single remaining type's bottleneck is its representative's
-			// cheapest landing; tier 1's maxTask already saw it.
-			return 0, false, false
-		}
-		rx.stamp++
-		collide := false
-		for t := range rx.repTask {
-			if j := rx.repTask[t]; j >= 0 && rx.markCollision(s.landArg[j]) {
-				collide = true
-				break
-			}
-		}
-		if !collide {
-			return 0, false, false
-		}
-		nc := s.m
-		if cap(rx.cost) < nr*nc {
-			rx.cost = make([]float64, nr*nc)
-		}
-		cost := rx.cost[:nr*nc]
-		r := 0
-		for t := range rx.repTask {
-			j := rx.repTask[t]
-			if j < 0 {
-				continue
-			}
-			i := s.order[j]
-			ty := s.in.App.Type(i)
-			s.pr.PriceAllAt(i, s.dlb[j], s.land)
-			row := cost[r*nc:]
-			for u := 0; u < nc; u++ {
-				if s.feasible(u, ty) {
-					row[u] = s.land[u]
-				} else {
-					row[u] = math.Inf(1)
-				}
-			}
-			r++
-		}
-		_, b, err := rx.hs.Bottleneck(cost, nr, nc)
-		if err != nil {
-			if errors.Is(err, hungarian.ErrNoPerfectMatching) {
-				return math.Inf(1), true, true
-			}
-			return 0, false, true
-		}
-		return b, true, true
 	}
-	return 0, false, false
-}
-
-// lpBound is the LP tier (see the package comment for the model). It
-// returns an admissible bound and true, or (0, false) when the LP did not
-// reach Optimal within lpIterCap pivots — a half-converged tableau proves
-// nothing, so it contributes nothing. Requires s.dlb filled for depth k.
-func (s *searcher) lpBound(k int) (float64, bool) {
-	rx := s.rx
-	n := len(s.order)
-	rem := n - k
-	md := rx.model
-	md.Reset(1 + rem*s.m)
-	md.SetObj(0, 1)
-
-	// Convexity rows; infeasible pairs are fixed to zero so standardization
-	// substitutes them away before the tableau is built.
-	for r := 0; r < rem; r++ {
+	nr, nc := n-k, len(cols)
+	if nr > nc {
+		return math.Inf(1), true
+	}
+	// A task with no feasible landing (u < 0) counts as a collision, so the
+	// matcher runs and proves +Inf.
+	ab.stamp++
+	collide := false
+	for j := k; j < n && !collide; j++ {
+		u := s.landArg[j]
+		collide = u < 0 || ab.seen[u] == ab.stamp
+		if u >= 0 {
+			ab.seen[u] = ab.stamp
+		}
+	}
+	if !collide {
+		return 0, false
+	}
+	if cap(ab.cost) < nr*nc {
+		ab.cost = make([]float64, nr*nc)
+	}
+	cost := ab.cost[:nr*nc]
+	for r := 0; r < nr; r++ {
 		j := k + r
-		i := s.order[j]
-		ty := s.in.App.Type(i)
-		coefs := rx.coefs[:0]
-		for u := 0; u < s.m; u++ {
-			v := 1 + r*s.m + u
-			if s.feasible(u, ty) {
-				coefs = append(coefs, lp.Coef{Var: v, Val: 1})
-			} else {
-				md.SetBounds(v, 0, 0)
-			}
+		s.pr.PriceAllAt(s.order[j], s.dlb[j], s.land)
+		row := cost[r*nc:]
+		for c, u := range cols {
+			row[c] = s.land[u]
 		}
-		if len(coefs) == 0 {
-			// No feasible landing at all: the node is infeasible. (tier 1
-			// already returned +Inf for this node, so this is belt and
-			// braces.)
+	}
+	_, b, err := ab.hs.Bottleneck(cost, nr, nc)
+	if err != nil {
+		if errors.Is(err, hungarian.ErrNoPerfectMatching) {
 			return math.Inf(1), true
 		}
-		md.AddRow(coefs, lp.EQ, 1)
-		rx.coefs = coefs[:0]
-	}
-	// Machine rows: load(u) + Σ c(i,u)·y[i,u] <= T.
-	for u := 0; u < s.m; u++ {
-		coefs := append(rx.coefs[:0], lp.Coef{Var: 0, Val: -1})
-		for r := 0; r < rem; r++ {
-			j := k + r
-			i := s.order[j]
-			if !s.feasible(u, s.in.App.Type(i)) {
-				continue
-			}
-			c := (s.dlb[j] * rx.infl[int(i)*s.m+u]) * rx.tim[int(i)*s.m+u]
-			coefs = append(coefs, lp.Coef{Var: 1 + r*s.m + u, Val: c})
-		}
-		md.AddRow(coefs, lp.LE, -s.pr.Load(platform.MachineID(u)))
-		rx.coefs = coefs[:0]
-	}
-	if s.rule == core.OneToOne {
-		for u := 0; u < s.m; u++ {
-			if s.used[u] {
-				continue
-			}
-			coefs := rx.coefs[:0]
-			for r := 0; r < rem; r++ {
-				coefs = append(coefs, lp.Coef{Var: 1 + r*s.m + u, Val: 1})
-			}
-			md.AddRow(coefs, lp.LE, 1)
-			rx.coefs = coefs[:0]
-		}
-	}
-	sol, err := rx.lw.SolveWithLimit(md, lpIterCap)
-	if err != nil || sol.Status != lp.Optimal {
 		return 0, false
 	}
-	v := sol.Objective * lpSlack
-	if v < 0 {
-		return 0, false
-	}
-	return v, true
+	return b, true
 }

@@ -1,14 +1,14 @@
-// Admissibility and dominance gates for the relaxation tiers (relax.go):
-// native fuzz targets cross-check each tier against the exhaustive
-// completion oracle exactly like FuzzExactBound does for the combinatorial
-// bound, and the deterministic tests pin that the tiers (a) do strengthen
-// bounds somewhere, (b) never grow a sequential proof, and (c) leave every
-// proven result byte-identical, for any worker count, tiers on or off.
+// Admissibility and dominance gates for the one-to-one bottleneck-assignment
+// bound (relax.go): a native fuzz target cross-checks it against the
+// exhaustive completion oracle exactly like FuzzExactBound does for the
+// combinatorial bound, and the deterministic tests pin that the bound
+// (a) strengthens the combinatorial bound somewhere, (b) never grows a
+// sequential proof, (c) leaves every proven result byte-identical, for any
+// worker count, on or off, and (d) is a pure function of the node.
 //
-// Smoke-run the fuzzers locally or in CI with:
+// Smoke-run the fuzzer locally or in CI with:
 //
 //	go test -run='^$' -fuzz=FuzzAssignmentBound -fuzztime=10s ./internal/exact
-//	go test -run='^$' -fuzz=FuzzLPBound -fuzztime=10s ./internal/exact
 package exact
 
 import (
@@ -16,41 +16,75 @@ import (
 	"testing"
 
 	"microfab/internal/core"
+	"microfab/internal/gen"
 	"microfab/internal/platform"
 )
 
-// relaxAt replays a prefix on a fresh searcher with the relaxation tiers
-// force-built (no warmup), runs the combinatorial bound with +Inf
-// thresholds to fill the per-node scratch the tiers read (dlb, minLand,
-// landArg), and returns the searcher plus that combinatorial bound. The
-// tier methods are then directly callable for the replayed depth.
-func relaxAt(t testing.TB, in *core.Instance, rule core.Rule, prefix []platform.MachineID) (*searcher, float64) {
+// assignAt replays a prefix on a fresh one-to-one searcher and runs the
+// full bound (+Inf thresholds), which fills the per-node scratch the
+// assignment bound reads (dlb, landArg). assignmentBound is then directly
+// callable for the replayed depth.
+func assignAt(t testing.TB, in *core.Instance, prefix []platform.MachineID) *searcher {
 	t.Helper()
-	sv, err := newSolver(in, Options{Rule: rule})
+	sv, err := newSolver(in, Options{Rule: core.OneToOne})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sv.newSearcher(nil)
-	s.rx = newRelaxer(sv.in, false, false)
-	if s.minLand == nil {
-		// From-scratch ablation only: the incremental mode allocates and
-		// maintains these from construction, and overwriting them here
-		// would clobber the live cache.
-		s.minLand = make([]float64, len(s.order))
-		s.landArg = make([]int, len(s.order))
-	}
 	s.push(prefix)
-	return s, s.lowerBound(len(prefix), math.Inf(1), math.Inf(1))
+	s.lowerBound(len(prefix), math.Inf(1), math.Inf(1))
+	return s
 }
 
-// FuzzAssignmentBound: the bottleneck-assignment bound of any rule-feasible
+// combinatorialAt is boundAt with the assignment bound ablated: the bound
+// the one-to-one relaxation has to beat.
+func combinatorialAt(t testing.TB, in *core.Instance, prefix []platform.MachineID) float64 {
+	t.Helper()
+	sv, err := newSolver(in, Options{Rule: core.OneToOne, DisableAssignBound: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sv.newSearcher(nil)
+	s.push(prefix)
+	return s.lowerBound(len(prefix), math.Inf(1), math.Inf(1))
+}
+
+// oneToOneCorpus is the one-to-one slice of the differential corpus.
+func oneToOneCorpus(t testing.TB) []corpusCase {
+	var cs []corpusCase
+	for _, c := range differentialCorpus(t) {
+		if c.rule == core.OneToOne {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// otoN18 is the one-to-one benchmark case oto-n18-m20-s3:
+// mfgen -n 18 -p 18 -m 20 -fmax 0.1 -seed 3 -task-only.
+func otoN18(t testing.TB) *core.Instance {
+	t.Helper()
+	pr := gen.Default(18, 18, 20)
+	pr.FMax = 0.1
+	pr.TaskOnlyFailures = true
+	in, err := gen.Chain(pr, gen.RNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// FuzzAssignmentBound: the bottleneck-assignment bound of any one-to-one
 // partial assignment must never exceed the optimum over its completions
-// (+Inf claims the node has none at all).
+// (+Inf claims the node has none at all). Inputs that decode to more tasks
+// than machines admit no one-to-one mapping and are skipped.
 func FuzzAssignmentBound(f *testing.F) {
-	f.Add([]byte("assign-bound-admissible"))
-	f.Add([]byte{6, 3, 2, 0, 120, 40, 1, 90, 0, 55, 2, 80, 1, 70, 3, 1, 2, 0, 1, 2})
-	f.Add([]byte{5, 5, 2, 1, 30, 60, 90, 120, 150, 180, 210, 240, 14, 3, 1})
-	f.Add([]byte("\x04\x05\x01\x00one-to-one-collisions\x7f"))
+	// Each seed decodes to n <= m and a node where two unplaced tasks share
+	// their cheapest machine, so the matcher runs.
+	f.Add([]byte{16, 38, 10, 25, 209, 37, 83})
+	f.Add([]byte{247, 138, 113, 28, 197, 157})
+	f.Add([]byte{212, 99, 43, 170, 255, 146})
+	f.Add([]byte{113, 18, 250, 237, 12, 86})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -60,150 +94,95 @@ func FuzzAssignmentBound(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoder built an invalid instance: %v", err)
 		}
-		rule := core.Specialized
-		if p.next()%2 == 0 && in.N() <= in.M() {
-			rule = core.OneToOne
+		if in.N() > in.M() {
+			return
 		}
 		order := in.App.ReverseTopological()
-		prefix := feasiblePrefix(in, rule, order, p.intn(in.N()+1), func(int) int { return int(p.next()) })
+		prefix := feasiblePrefix(in, core.OneToOne, order, p.intn(in.N()+1), func(int) int { return int(p.next()) })
 
-		s, _ := relaxAt(t, in, rule, prefix)
-		ab, ok, tried := s.assignmentBound(len(prefix))
-		if !tried && ok {
-			t.Fatalf("collision-free skip claimed a bound: %v", ab)
-		}
+		s := assignAt(t, in, prefix)
+		ab, ok := s.assignmentBound(len(prefix))
 		if !ok {
 			return
 		}
-		opt, done := completionOptimum(in, rule, order, prefix, 2_000_000)
+		opt, done := completionOptimum(in, core.OneToOne, order, prefix, 2_000_000)
 		if !done {
 			return // oracle budget hit; nothing to assert
 		}
 		if ab > opt*(1+1e-9) {
-			t.Fatalf("inadmissible assignment bound: %v exceeds completion optimum %v (rule %v, prefix %v, n=%d m=%d)",
-				ab, opt, rule, prefix, in.N(), in.M())
+			t.Fatalf("inadmissible assignment bound: %v exceeds completion optimum %v (prefix %v, n=%d m=%d)",
+				ab, opt, prefix, in.N(), in.M())
 		}
 	})
 }
 
-// FuzzLPBound: the LP relaxation bound of any rule-feasible partial
-// assignment must never exceed the optimum over its completions.
-func FuzzLPBound(f *testing.F) {
-	f.Add([]byte("lp-bound-admissible"))
-	f.Add([]byte{6, 3, 2, 0, 120, 40, 1, 90, 0, 55, 2, 80, 1, 70, 3, 1, 2, 0, 1, 2})
-	f.Add([]byte{7, 4, 3, 1, 200, 30, 0, 150, 1, 60, 0, 99, 7, 5, 3, 1, 0, 2, 4})
-	f.Add([]byte("\x05\x03\x02\x00fractional-assignment\xff\x10"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		p := &fuzzTape{data: data}
-		in, err := decodeBoundInstance(p)
-		if err != nil {
-			t.Fatalf("decoder built an invalid instance: %v", err)
-		}
-		rule := []core.Rule{core.Specialized, core.GeneralRule, core.OneToOne}[p.intn(3)]
-		if rule == core.OneToOne && in.N() > in.M() {
-			rule = core.GeneralRule
-		}
-		order := in.App.ReverseTopological()
-		prefix := feasiblePrefix(in, rule, order, p.intn(in.N()+1), func(int) int { return int(p.next()) })
-
-		s, _ := relaxAt(t, in, rule, prefix)
-		v, ok := s.lpBound(len(prefix))
-		if !ok {
-			return // non-Optimal LP: correctly contributes nothing
-		}
-		opt, done := completionOptimum(in, rule, order, prefix, 2_000_000)
-		if !done {
-			return
-		}
-		if v > opt*(1+1e-9) {
-			t.Fatalf("inadmissible LP bound: %v exceeds completion optimum %v (rule %v, prefix %v, n=%d m=%d)",
-				v, opt, rule, prefix, in.N(), in.M())
-		}
-	})
-}
-
-// TestRelaxationTiersAdmissible sweeps the differential corpus at several
-// prefix depths, checking both tiers against the exhaustive oracle, and —
-// so the gates can't rot into vacuity — that each tier strictly improves on
-// the combinatorial bound somewhere in the sweep.
+// TestRelaxationTiersAdmissible sweeps the one-to-one corpus at several
+// prefix depths, checking the assignment bound against the exhaustive
+// oracle and — so the collision filter can't rot into vacuity — that it
+// strictly improves on the combinatorial bound somewhere in the sweep.
 func TestRelaxationTiersAdmissible(t *testing.T) {
-	assignWins, lpWins := 0, 0
-	for ci, c := range differentialCorpus(t) {
+	wins := 0
+	for ci, c := range oneToOneCorpus(t) {
 		order := c.in.App.ReverseTopological()
 		for _, depth := range []int{0, 1, c.in.N() / 2} {
 			prefix := feasiblePrefix(c.in, c.rule, order, depth, func(j int) int { return ci*31 + j*7 })
-			s, lb := relaxAt(t, c.in, c.rule, prefix)
+			s := assignAt(t, c.in, prefix)
 			opt, done := completionOptimum(c.in, c.rule, order, prefix, 2_000_000)
 			if !done {
 				continue
 			}
-			if ab, ok, _ := s.assignmentBound(len(prefix)); ok {
-				if ab > opt*(1+1e-9) {
-					t.Fatalf("%s[%d] depth %d: assignment bound %v > optimum %v", c.name, ci, depth, ab, opt)
-				}
-				if ab > lb {
-					assignWins++
-				}
+			ab, ok := s.assignmentBound(len(prefix))
+			if !ok {
+				continue
 			}
-			if v, ok := s.lpBound(len(prefix)); ok {
-				if v > opt*(1+1e-9) {
-					t.Fatalf("%s[%d] depth %d: LP bound %v > optimum %v", c.name, ci, depth, v, opt)
-				}
-				if v > lb {
-					lpWins++
-				}
+			if ab > opt*(1+1e-9) {
+				t.Fatalf("%s[%d] depth %d: assignment bound %v > optimum %v", c.name, ci, depth, ab, opt)
+			}
+			if ab > combinatorialAt(t, c.in, prefix) {
+				wins++
 			}
 		}
 	}
-	if assignWins == 0 || lpWins == 0 {
-		t.Fatalf("tiers never beat the combinatorial bound on the corpus (assign %d, lp %d wins) — gates are vacuous",
-			assignWins, lpWins)
+	if wins == 0 {
+		t.Fatal("the assignment bound never beat the combinatorial bound on the corpus — the collision filter is vacuous")
 	}
-	t.Logf("tiers strictly improved the combinatorial bound: assignment %d times, LP %d times", assignWins, lpWins)
+	t.Logf("assignment bound strictly improved the combinatorial bound %d times", wins)
 }
 
-// TestRelaxationBoundDominates: on the full differential corpus, a
-// sequential proof with the tiers on explores no more nodes than with them
-// off, returns byte-identical results either way, and parallel runs with
-// the tiers on stay byte-identical to the sequential ones. The warmup is
-// forced off so the tiers actually run on these small instances.
+// TestRelaxationBoundDominates: on the one-to-one corpus, a sequential
+// proof with the assignment bound explores no more nodes than without it,
+// returns byte-identical results either way, and parallel runs with the
+// bound stay byte-identical to the sequential ones.
 func TestRelaxationBoundDominates(t *testing.T) {
-	oldWarmup := relaxWarmup
-	relaxWarmup = 0
-	defer func() { relaxWarmup = oldWarmup }()
-
-	corpus := differentialCorpus(t)
-	if len(corpus) < 50 {
-		t.Fatalf("corpus has %d instances, the gate requires >= 50", len(corpus))
+	corpus := oneToOneCorpus(t)
+	if len(corpus) < 10 {
+		t.Fatalf("one-to-one corpus has %d instances, the gate requires >= 10", len(corpus))
 	}
 	improved := 0
 	for ci, c := range corpus {
 		on := Options{Rule: c.rule, MaxNodes: 4_000_000, Workers: 1}
 		off := on
-		off.DisableAssignBound, off.DisableLPBound = true, true
+		off.DisableAssignBound = true
 
 		comb, err := Solve(c.in, off)
 		if err != nil {
-			t.Fatalf("%s[%d]: tiers off: %v", c.name, ci, err)
+			t.Fatalf("%s[%d]: bound off: %v", c.name, ci, err)
 		}
 		both, err := Solve(c.in, on)
 		if err != nil {
-			t.Fatalf("%s[%d]: tiers on: %v", c.name, ci, err)
+			t.Fatalf("%s[%d]: bound on: %v", c.name, ci, err)
 		}
 		if !comb.Proven || !both.Proven {
 			t.Fatalf("%s[%d]: unproven (off %v, on %v)", c.name, ci, comb.Proven, both.Proven)
 		}
 		if math.Float64bits(both.Period) != math.Float64bits(comb.Period) {
-			t.Fatalf("%s[%d]: period diverged: tiers on %v, off %v", c.name, ci, both.Period, comb.Period)
+			t.Fatalf("%s[%d]: period diverged: bound on %v, off %v", c.name, ci, both.Period, comb.Period)
 		}
 		if both.Mapping.String() != comb.Mapping.String() {
 			t.Fatalf("%s[%d]: mapping diverged:\n  on  %v\n  off %v", c.name, ci, both.Mapping, comb.Mapping)
 		}
 		if both.Nodes > comb.Nodes {
-			t.Fatalf("%s[%d]: tiers grew the proof: %d nodes vs %d without", c.name, ci, both.Nodes, comb.Nodes)
+			t.Fatalf("%s[%d]: the assignment bound grew the proof: %d nodes vs %d without", c.name, ci, both.Nodes, comb.Nodes)
 		}
 		if both.Nodes < comb.Nodes {
 			improved++
@@ -214,45 +193,75 @@ func TestRelaxationBoundDominates(t *testing.T) {
 		}
 		if !par.Proven || math.Float64bits(par.Period) != math.Float64bits(both.Period) ||
 			par.Mapping.String() != both.Mapping.String() {
-			t.Fatalf("%s[%d]: parallel run with tiers diverged from sequential", c.name, ci)
+			t.Fatalf("%s[%d]: parallel run with the assignment bound diverged from sequential", c.name, ci)
 		}
 	}
 	if improved == 0 {
-		t.Fatal("tiers never reduced a corpus proof; the strengthen path is dead")
+		t.Fatal("the assignment bound never reduced a corpus proof; the bound is dead")
 	}
-	t.Logf("tiers reduced the sequential proof on %d/%d corpus cases", improved, len(corpus))
+	t.Logf("the assignment bound reduced the sequential proof on %d/%d corpus cases", improved, len(corpus))
 }
 
-// TestProvenRegimeRelaxNodeRatio: the production configuration (default
-// warmup and gates) must prove the n=18 proven-regime instance in
-// measurably fewer nodes than the combinatorial bound alone, with a
-// byte-identical result.
-func TestProvenRegimeRelaxNodeRatio(t *testing.T) {
+// TestOneToOneAssignBoundNodeRatio: the default configuration must prove
+// the oto-n18-m20-s3 benchmark case in at most a tenth of the nodes the
+// combinatorial bound alone needs, with a byte-identical result.
+func TestOneToOneAssignBoundNodeRatio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("node-ratio measurement is redundant under the race detector")
 	}
-	in := symmetricInstanceF(t, 18, 2, 9, 3, 0, 0.1, 1804)
-	both, err := Solve(in, Options{Rule: core.Specialized})
+	in := otoN18(t)
+	both, err := Solve(in, Options{Rule: core.OneToOne})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := Solve(in, Options{Rule: core.Specialized, DisableAssignBound: true, DisableLPBound: true})
+	comb, err := Solve(in, Options{Rule: core.OneToOne, DisableAssignBound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !both.Proven || !comb.Proven {
-		t.Fatalf("unproven (tiers %v, comb %v)", both.Proven, comb.Proven)
+		t.Fatalf("unproven (bound %v, comb %v)", both.Proven, comb.Proven)
 	}
 	if math.Float64bits(both.Period) != math.Float64bits(comb.Period) {
-		t.Fatalf("period diverged: tiers %v, comb %v", both.Period, comb.Period)
+		t.Fatalf("period diverged: bound %v, comb %v", both.Period, comb.Period)
 	}
 	if both.Mapping.String() != comb.Mapping.String() {
-		t.Fatalf("mapping diverged:\n  tiers %v\n  comb  %v", both.Mapping, comb.Mapping)
+		t.Fatalf("mapping diverged:\n  bound %v\n  comb  %v", both.Mapping, comb.Mapping)
 	}
-	// Measured ~12.7% fewer nodes; 3% is the rot alarm, not the target.
-	if both.Nodes*100 > comb.Nodes*97 {
-		t.Fatalf("relaxation tiers reduced the n=18 proof by under 3%%: %d nodes vs %d", both.Nodes, comb.Nodes)
+	if both.Nodes*10 > comb.Nodes {
+		t.Fatalf("the assignment bound cut the oto-n18 proof by under 10×: %d nodes vs %d", both.Nodes, comb.Nodes)
 	}
-	t.Logf("n=18 proof: %d nodes with tiers vs %d combinatorial-only (%.1f%% fewer)",
-		both.Nodes, comb.Nodes, 100*(1-float64(both.Nodes)/float64(comb.Nodes)))
+	t.Logf("oto-n18 proof: %d nodes with the assignment bound vs %d combinatorial-only", both.Nodes, comb.Nodes)
+}
+
+// TestOneToOneBoundHistoryFree: the bound value at a node is a pure
+// function of the node. At the root of the oto-n18 case, a fresh searcher
+// and one that has already expanded more than 10k nodes must return the
+// same bits, and that value must beat the combinatorial bound — the
+// assignment bound is live from the first node, with no incumbent to
+// compare against.
+func TestOneToOneBoundHistoryFree(t *testing.T) {
+	in := otoN18(t)
+	inf := math.Inf(1)
+	bound := func(warm bool) (float64, int64) {
+		sv, err := newSolver(in, Options{Rule: core.OneToOne})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sv.newSearcher(nil)
+		for warm && s.meter.used <= 10_000 {
+			// Each cold pass re-explores the tree and unwinds it to the root.
+			s.best, s.bestPeriod = nil, inf
+			s.dfs(0)
+		}
+		return s.lowerBound(0, inf, inf), s.meter.used
+	}
+	want, _ := bound(false)
+	got, used := bound(true)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("root bound after %d nodes = %v (bits %x), fresh searcher %v (bits %x)",
+			used, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if comb := combinatorialAt(t, in, nil); !(want > comb) {
+		t.Fatalf("root bound %v does not beat the combinatorial bound %v", want, comb)
+	}
 }

@@ -73,12 +73,6 @@ type Config struct {
 	// draw count is small next to the CPU count — exact campaigns pushing
 	// single large instances past the paper's n <= 15 regime.
 	ExactWorkers int
-	// ExactNoRelax disables the exact DFS burst's relaxation bound tiers
-	// (exact.Options.DisableAssignBound + DisableLPBound), reproducing
-	// pre-relaxation campaigns. Proven bursts are byte-identical either
-	// way; a binding node budget may stop an unproven burst at a
-	// different incumbent, exactly as ExactWorkers already warns.
-	ExactNoRelax bool
 	// ExactNoIncBound forces the exact burst's per-node bound onto the
 	// from-scratch recomputation instead of the delta-maintained cache
 	// (exact.Options.DisableIncrementalBound). The two paths compute
@@ -603,8 +597,6 @@ func mipCampaign(cfg Config, id, title string, xs []int, m, p int, names []strin
 				MaxNodes:                int64(cfg.mipNodes()),
 				TimeLimit:               cfg.mipTime() / 5,
 				Workers:                 cfg.ExactWorkers,
-				DisableAssignBound:      cfg.ExactNoRelax,
-				DisableLPBound:          cfg.ExactNoRelax,
 				DisableIncrementalBound: cfg.ExactNoIncBound,
 			}); err == nil && eres.Period < warmPeriod {
 				warm, warmPeriod = eres.Mapping, eres.Period

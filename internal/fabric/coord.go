@@ -396,7 +396,6 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 	}
 	opts := exact.Options{
 		Rule: rule, MaxNodes: spec.MaxNodes, WarmStart: spec.WarmStart,
-		DisableAssignBound: spec.NoRelax, DisableLPBound: spec.NoRelax,
 		DisableIncrementalBound: spec.NoIncBound,
 	}
 	target := spec.Subtrees

@@ -47,7 +47,9 @@ const (
 
 // CampaignSpec is the serializable form of one figure campaign — the
 // subset of experiments.Config a remote worker needs to reproduce a draw
-// bit-exactly, plus the figure number. POST it to /campaign.
+// bit-exactly, plus the figure number. POST it to /campaign. Unknown JSON
+// fields are ignored, so older specs carrying the removed relaxation-tier
+// ablation (which never changed results) still decode and run.
 type CampaignSpec struct {
 	Figure         int    `json:"figure"`
 	Draws          int    `json:"draws,omitempty"`
@@ -56,7 +58,6 @@ type CampaignSpec struct {
 	MIPTimeLimitMs int64  `json:"mipTimeLimitMs,omitempty"`
 	MIPMaxNodes    int    `json:"mipMaxNodes,omitempty"`
 	ExactWorkers   int    `json:"exactWorkers,omitempty"`
-	ExactNoRelax   bool   `json:"exactNoRelax,omitempty"`
 	ExactNoIncB    bool   `json:"exactNoIncBound,omitempty"`
 	Polish         string `json:"polish,omitempty"`
 	PolishBudget   int    `json:"polishBudget,omitempty"`
@@ -74,14 +75,15 @@ func (s CampaignSpec) Config() experiments.Config {
 		MIPTimeLimit:    time.Duration(s.MIPTimeLimitMs) * time.Millisecond,
 		MIPMaxNodes:     s.MIPMaxNodes,
 		ExactWorkers:    s.ExactWorkers,
-		ExactNoRelax:    s.ExactNoRelax,
 		ExactNoIncBound: s.ExactNoIncB,
 		Polish:          s.Polish,
 		PolishBudget:    s.PolishBudget,
 	}
 }
 
-// ExactSpec is one distributed exact solve. POST it to /exact.
+// ExactSpec is one distributed exact solve. POST it to /exact. Unknown JSON
+// fields are ignored, so older specs carrying the removed relaxation-tier
+// ablation (which never changed results) still decode and run.
 type ExactSpec struct {
 	Instance instance.File `json:"instance"`
 	// Rule is "specialized" (default, ""), "one-to-one" or "general".
@@ -97,10 +99,6 @@ type ExactSpec struct {
 	// prune only against their self-derived warm start. Results are
 	// byte-identical either way; exchange only saves nodes.
 	DisableExchange bool `json:"disableExchange,omitempty"`
-	// NoRelax disables the relaxation bound tiers (bottleneck assignment
-	// + LP) on every participant. Proven merges are byte-identical either
-	// way; the tiers only change how many nodes the proof costs.
-	NoRelax bool `json:"noRelax,omitempty"`
 	// NoIncBound forces every participant's bound onto the from-scratch
 	// per-node recomputation instead of the delta-maintained cache. The
 	// two paths are bit-identical, so proven merges never change; the

@@ -248,8 +248,6 @@ func (w *Worker) runSubtree(ctx context.Context, spec *ExactSpec, ck *Chunk,
 		Ctx:                     ctx,
 		MaxNodes:                spec.MaxNodes,
 		WarmStart:               spec.WarmStart,
-		DisableAssignBound:      spec.NoRelax,
-		DisableLPBound:          spec.NoRelax,
 		DisableIncrementalBound: spec.NoIncBound,
 	}
 	if !spec.DisableExchange {

@@ -1,6 +1,6 @@
 // Package hungarian implements bipartite assignment algorithms used by the
 // optimal one-to-one mapping solvers and by the exact branch and bound's
-// relaxation bounds:
+// one-to-one assignment bound:
 //
 //   - Solve: minimum-cost perfect assignment (the Hungarian method, in its
 //     O(n²m) shortest-augmenting-path / Jonker-Volgenant form), used for

@@ -86,9 +86,6 @@ func TestAddRowLatchesBadVar(t *testing.T) {
 	if _, err := m.SolveWithLimit(10); !errors.Is(err, ErrBadVar) {
 		t.Fatalf("SolveWithLimit err = %v, want ErrBadVar", err)
 	}
-	if _, err := NewWorkspace().Solve(m); !errors.Is(err, ErrBadVar) {
-		t.Fatalf("Workspace.Solve err = %v, want ErrBadVar", err)
-	}
 	// The latch survives Clone and is cleared by Reset.
 	if !errors.Is(m.Clone().Err(), ErrBadVar) {
 		t.Fatal("Clone dropped the latched error")

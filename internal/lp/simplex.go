@@ -170,13 +170,6 @@ type tableau struct {
 }
 
 func newTableau(s *standard) *tableau {
-	return buildTableau(s, nil)
-}
-
-// buildTableau assembles the tableau. With a non-nil Workspace the rows are
-// carved out of the workspace's flat backing buffer (grown as needed), so
-// repeated same-shape solves reuse one allocation.
-func buildTableau(s *standard, w *Workspace) *tableau {
 	nRows := len(s.rows)
 	// Columns: structural, one slack per LE row, one artificial per row
 	// that needs one (negative-RHS LE rows and EQ rows).
@@ -192,35 +185,13 @@ func buildTableau(s *standard, w *Workspace) *tableau {
 	// Worst case: an artificial for every row.
 	t.nCols = t.artStart + nRows
 	width := t.nCols + 1
-	if w != nil {
-		need := nRows * width
-		if cap(w.flat) < need {
-			w.flat = make([]float64, need)
-		}
-		w.flat = w.flat[:need]
-		for i := range w.flat {
-			w.flat[i] = 0
-		}
-		if cap(w.rowsBuf) < nRows {
-			w.rowsBuf = make([][]float64, nRows)
-		}
-		t.a = w.rowsBuf[:nRows]
-		w.basisBuf = growInts(w.basisBuf, nRows)
-		t.basis = w.basisBuf
-	} else {
-		t.a = make([][]float64, nRows)
-		t.basis = make([]int, nRows)
-	}
+	t.a = make([][]float64, nRows)
+	t.basis = make([]int, nRows)
 
 	slack := 0
 	art := 0
 	for r := 0; r < nRows; r++ {
-		var row []float64
-		if w != nil {
-			row = w.flat[r*width : (r+1)*width]
-		} else {
-			row = make([]float64, width)
-		}
+		row := make([]float64, width)
 		for _, c := range s.rows[r] {
 			row[c.Var] += c.Val
 		}
@@ -261,31 +232,9 @@ func buildTableau(s *standard, w *Workspace) *tableau {
 		t.a[r] = append(t.a[r][:used], rhs)
 	}
 	t.nCols = used
-	if w != nil {
-		w.costBuf = growFloats(w.costBuf, t.nCols)
-		t.phase2cost = w.costBuf
-		for i := range t.phase2cost {
-			t.phase2cost[i] = 0
-		}
-	} else {
-		t.phase2cost = make([]float64, t.nCols)
-	}
+	t.phase2cost = make([]float64, t.nCols)
 	copy(t.phase2cost, s.obj)
 	return t
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // run performs phase 1 (if artificials exist) and phase 2, returning the

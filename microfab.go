@@ -242,9 +242,9 @@ func solveExact(in *Instance, _ int64) (*Mapping, error) {
 // and the pruning/ordering ablations. The search prices through the
 // pricing-only core.Pricer and visits children best-first after a greedy
 // restart dive, so even budget-starved runs return near-optimal
-// incumbents; hard searches additionally engage tiered relaxation bounds
-// (bottleneck assignment + warm-started LP, ablatable via
-// DisableAssignBound/DisableLPBound) that shrink proofs without ever
+// incumbents; under the one-to-one rule every node is additionally bounded
+// by a bottleneck assignment of the unplaced tasks to the free machines
+// (ablatable via DisableAssignBound), which shrinks proofs without ever
 // changing the proven result. Proven results are byte-identical for any
 // worker count; see exact.Options for the budget caveats. Solve("exact")
 // is the convenience form (Specialized rule, 30s budget, all CPUs, H4w
