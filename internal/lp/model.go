@@ -1,7 +1,10 @@
 // Package lp is a self-contained linear-programming solver: models with
 // bounded variables and <=/==/>= rows, solved by a two-phase primal simplex
-// over a dense tableau (Dantzig pricing with an automatic switch to Bland's
-// rule to break degeneracy cycles).
+// (Dantzig pricing with an automatic switch to Bland's rule to break
+// degeneracy cycles). The tableau is stored densely, but each pivot updates
+// only the pivot row's nonzero columns, and each Model keeps its tableau
+// storage across solves. A Model is therefore for sequential use: solve
+// concurrently on Clones, which share nothing.
 //
 // It substitutes for the commercial solver (CPLEX) the paper uses to obtain
 // exact optima on small instances; the branch-and-bound layer lives in
@@ -54,8 +57,10 @@ type Coef struct {
 }
 
 // Model is a minimization LP: min c·x subject to rows and variable bounds.
-// Build with NewModel, then AddRow/SetObj/SetBounds; Solve leaves the model
-// unchanged, so a MIP search can solve many variants of one model.
+// Build with NewModel, then AddRow/SetObj/SetBounds; Solve leaves the
+// model's definition unchanged, so a MIP search can solve many variants of
+// one model. Solve does keep scratch storage in the model, so one Model
+// must not be solved (or modified) from two goroutines at once.
 type Model struct {
 	numVars int
 	obj     []float64
@@ -67,10 +72,9 @@ type Model struct {
 	senses []Sense
 	rhs    []float64
 
-	// spare recycles retired []Coef backing arrays across Reset cycles so a
-	// per-node model rebuild settles at zero row allocations.
-	spare [][]Coef
-	err   error // latched by AddRow, surfaced by Solve
+	err error // latched by AddRow, surfaced by Solve
+	// ws is the solve scratch, created by the first Solve; never shared.
+	ws *workspace
 }
 
 // NewModel returns a model with numVars variables, objective 0 and default
@@ -126,19 +130,12 @@ func (m *Model) Name(v int) string {
 // the model (retrievable via Err, reported by Solve) and the row is dropped;
 // AddRow then returns -1.
 func (m *Model) AddRow(coefs []Coef, sense Sense, rhs float64) int {
-	var cp []Coef
-	if n := len(m.spare); n > 0 {
-		cp = m.spare[n-1][:0]
-		m.spare = m.spare[:n-1]
-	} else {
-		cp = make([]Coef, 0, len(coefs))
-	}
+	cp := make([]Coef, 0, len(coefs))
 	for _, c := range coefs {
 		if c.Var < 0 || c.Var >= m.numVars {
 			if m.err == nil {
 				m.err = fmt.Errorf("%w: %d not in [0,%d) (row %d)", ErrBadVar, c.Var, m.numVars, len(m.rows))
 			}
-			m.spare = append(m.spare, cp)
 			return -1
 		}
 		// Rows are short (a handful to a few dozen nonzeros); a linear
@@ -164,37 +161,9 @@ func (m *Model) AddRow(coefs []Coef, sense Sense, rhs float64) int {
 // Err returns the model error latched by AddRow, or nil.
 func (m *Model) Err() error { return m.err }
 
-// Reset re-initializes the model in place to numVars variables with
-// objective 0, default bounds [0, +Inf) and no rows, recycling the row
-// storage. Rebuilding one model per search node this way settles at zero
-// steady-state allocations.
-func (m *Model) Reset(numVars int) {
-	if cap(m.obj) < numVars {
-		m.obj = make([]float64, numVars)
-		m.lower = make([]float64, numVars)
-		m.upper = make([]float64, numVars)
-		m.names = make([]string, numVars)
-	}
-	m.numVars = numVars
-	m.obj = m.obj[:numVars]
-	m.lower = m.lower[:numVars]
-	m.upper = m.upper[:numVars]
-	m.names = m.names[:numVars]
-	for i := 0; i < numVars; i++ {
-		m.obj[i] = 0
-		m.lower[i] = 0
-		m.upper[i] = math.Inf(1)
-		m.names[i] = ""
-	}
-	m.spare = append(m.spare, m.rows...)
-	m.rows = m.rows[:0]
-	m.senses = m.senses[:0]
-	m.rhs = m.rhs[:0]
-	m.err = nil
-}
-
 // Clone returns a deep copy (bounds may then be tightened independently,
-// which is how the MIP branches).
+// which is how the MIP branches). The copy gets its own solve scratch, so
+// a model and its clones may be solved concurrently.
 func (m *Model) Clone() *Model {
 	c := &Model{
 		numVars: m.numVars,

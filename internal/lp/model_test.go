@@ -86,61 +86,19 @@ func TestAddRowLatchesBadVar(t *testing.T) {
 	if _, err := m.SolveWithLimit(10); !errors.Is(err, ErrBadVar) {
 		t.Fatalf("SolveWithLimit err = %v, want ErrBadVar", err)
 	}
-	// The latch survives Clone and is cleared by Reset.
+	// The latch survives Clone.
 	if !errors.Is(m.Clone().Err(), ErrBadVar) {
 		t.Fatal("Clone dropped the latched error")
 	}
-	m.Reset(2)
-	if m.Err() != nil {
-		t.Fatalf("Reset kept the latched error: %v", m.Err())
-	}
+	m = NewModel(2)
 	if r := m.AddRow([]Coef{{0, 1}, {1, 1}}, LE, 3); r != 0 {
-		t.Fatalf("row index after Reset = %d", r)
+		t.Fatalf("row index on a fresh model = %d", r)
 	}
 	if sol, err := m.Solve(); err != nil || sol.Status != Optimal {
-		t.Fatalf("post-Reset solve: %v %v", sol, err)
+		t.Fatalf("fresh-model solve: %v %v", sol, err)
 	}
 	if r := m.AddRow([]Coef{{-1, 1}}, LE, 0); r != -1 || !errors.Is(m.Err(), ErrBadVar) {
 		t.Fatal("negative index not latched")
-	}
-}
-
-func TestModelReset(t *testing.T) {
-	// Reset must give back a pristine model of the new size, recycling row
-	// storage: building the same model repeatedly settles at zero
-	// steady-state allocations.
-	m := NewModel(3)
-	m.SetObj(2, 7)
-	m.SetBounds(1, -4, 4)
-	m.SetName(0, "K")
-	m.AddRow([]Coef{{0, 1}, {1, 1}}, LE, 2)
-	m.Reset(2)
-	if m.NumVars() != 2 || m.NumRows() != 0 {
-		t.Fatalf("dims after Reset: %d vars %d rows", m.NumVars(), m.NumRows())
-	}
-	if m.ObjCoef(0) != 0 || m.ObjCoef(1) != 0 || m.Name(0) != "x0" {
-		t.Fatal("objective or names survived Reset")
-	}
-	if lo, hi := m.Bounds(1); lo != 0 || !math.IsInf(hi, 1) {
-		t.Fatalf("bounds after Reset: [%v,%v]", lo, hi)
-	}
-
-	build := func() {
-		m.Reset(2)
-		m.SetObj(0, 1)
-		m.SetObj(1, 2)
-		m.AddRow([]Coef{{0, 1}, {1, 1}}, GE, 2)
-		m.AddRow([]Coef{{0, 1}}, LE, 5)
-	}
-	build() // warm the spare-row pool
-	build()
-	if n := testing.AllocsPerRun(20, build); n != 0 {
-		t.Fatalf("rebuild allocates %v per cycle, want 0", n)
-	}
-	build()
-	sol, err := m.Solve()
-	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-2) > 1e-9 {
-		t.Fatalf("recycled model solve: %v %v", sol, err)
 	}
 }
 

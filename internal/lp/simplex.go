@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Numerical tolerances of the simplex.
 const (
@@ -17,6 +14,9 @@ const (
 const defaultIterLimit = 200000
 
 // Solve optimizes the model with the two-phase primal simplex.
+//
+// Solve reuses scratch storage held by the model (see Model), so calls on
+// one Model must not overlap; solve concurrently on Clones instead.
 func (m *Model) Solve() (*Solution, error) {
 	return m.SolveWithLimit(defaultIterLimit)
 }
@@ -24,43 +24,71 @@ func (m *Model) Solve() (*Solution, error) {
 // SolveWithLimit is Solve with an explicit pivot cap. When the cap trips —
 // including mid-phase-1, before a feasible basis exists — the returned
 // solution carries Status IterLimit with a zero X vector, never a partial
-// tableau read-out.
+// tableau read-out. Like Solve, it is for sequential use on a given Model.
 func (m *Model) SolveWithLimit(iterLimit int) (*Solution, error) {
 	if m.err != nil {
 		return nil, m.err
 	}
-	std, err := m.standardize()
-	if err != nil {
-		// Bound-infeasible (lo > hi) models are reported as Infeasible
-		// rather than an error: the MIP prunes such nodes.
+	if m.ws == nil {
+		m.ws = &workspace{}
+	}
+	ws := m.ws
+	std, ok := m.standardize(ws)
+	if !ok {
+		// Models infeasible on their bounds alone are reported as
+		// Infeasible rather than an error: the MIP prunes such nodes.
 		return &Solution{Status: Infeasible, X: make([]float64, m.numVars)}, nil
 	}
-	t := newTableau(std)
-	sol := t.run(iterLimit)
-	return m.unstandardize(std, sol), nil
-}
-
-// unstandardize maps a tableau solution back to model space: x = lower + x'
-// plus fixed-variable substitutions. Non-optimal solutions get a zero X.
-func (m *Model) unstandardize(std *standard, sol *Solution) *Solution {
-	if sol.Status != Optimal {
-		sol.X = make([]float64, m.numVars)
-		sol.Objective = 0
-		return sol
+	t := &ws.tab
+	t.load(std)
+	st, iters := t.run(iterLimit)
+	sol := &Solution{Status: st, X: make([]float64, m.numVars), Iterations: iters}
+	if st != Optimal {
+		return sol, nil
 	}
-	x := make([]float64, m.numVars)
+	// Map the basic solution back to model space: x = lower + x' plus
+	// fixed-variable substitutions.
+	xs := grow(ws.xs, t.nStruct)
+	ws.xs = xs
+	clear(xs)
+	for r, b := range t.basis {
+		if b < t.nStruct {
+			xs[b] = t.a[r][t.nCols]
+		}
+	}
 	for v := 0; v < m.numVars; v++ {
 		if std.fixed[v] {
-			x[v] = m.lower[v]
+			sol.X[v] = m.lower[v]
 			continue
 		}
-		x[v] = m.lower[v] + sol.X[std.col[v]]
+		sol.X[v] = m.lower[v] + xs[std.col[v]]
 	}
-	obj := 0.0
 	for v := 0; v < m.numVars; v++ {
-		obj += m.obj[v] * x[v]
+		sol.Objective += m.obj[v] * sol.X[v]
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Iterations: sol.Iterations}
+	return sol, nil
+}
+
+// workspace is a Model's solve scratch: the standard form with a flat
+// backing store for its rows, the tableau, and the structural solution
+// vector. It grows to the largest model solved and is reused by every
+// later solve, so the simplex allocates nothing but the Solution it
+// returns.
+type workspace struct {
+	std   standard
+	coefs []Coef // backing store of std.rows
+	ends  []int  // std.rows[r] ends at coefs[ends[r]]
+	tab   tableau
+	xs    []float64
+}
+
+// grow returns s resliced to length n, reallocated when its capacity is
+// short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // standard holds the model in "min c x, A x {<=,=} b, 0 <= x (<= ub rows)"
@@ -79,32 +107,36 @@ type standard struct {
 // standardize substitutes fixed variables (lo == hi), shifts the remaining
 // ones by their lower bound, and materializes finite upper bounds as <=
 // rows. GE rows are converted to LE by negation, so the tableau only sees
-// LE and EQ.
-func (m *Model) standardize() (*standard, error) {
-	s := &standard{
-		col:   make([]int, m.numVars),
-		fixed: make([]bool, m.numVars),
-	}
+// LE and EQ. The result lives in ws. It reports false when the model is
+// infeasible on its bounds alone: an empty domain, or a row whose
+// variables are all fixed and which does not hold.
+func (m *Model) standardize(ws *workspace) (*standard, bool) {
+	s := &ws.std
+	s.col = grow(s.col, m.numVars)
+	s.fixed = grow(s.fixed, m.numVars)
+	s.nVars = 0
 	for v := 0; v < m.numVars; v++ {
 		lo, hi := m.lower[v], m.upper[v]
 		if lo > hi {
-			return nil, fmt.Errorf("lp: variable %s has empty domain [%v,%v]", m.Name(v), lo, hi)
+			return nil, false
 		}
-		if lo == hi {
-			s.fixed[v] = true
+		s.fixed[v] = lo == hi
+		if s.fixed[v] {
 			continue
 		}
 		s.col[v] = s.nVars
 		s.nVars++
 	}
-	s.obj = make([]float64, s.nVars)
+	s.obj = grow(s.obj, s.nVars)
 	for v := 0; v < m.numVars; v++ {
 		if !s.fixed[v] {
 			s.obj[s.col[v]] = m.obj[v]
 		}
 	}
+	ws.coefs, ws.ends = ws.coefs[:0], ws.ends[:0]
+	s.senses, s.rhs = s.senses[:0], s.rhs[:0]
 	for r, row := range m.rows {
-		var coefs []Coef
+		start := len(ws.coefs)
 		rhs := m.rhs[r]
 		for _, c := range row {
 			// Substituting x = lo + x' moves c·lo to the RHS for both
@@ -113,8 +145,9 @@ func (m *Model) standardize() (*standard, error) {
 			if s.fixed[c.Var] {
 				continue
 			}
-			coefs = append(coefs, Coef{Var: s.col[c.Var], Val: c.Val})
+			ws.coefs = append(ws.coefs, Coef{Var: s.col[c.Var], Val: c.Val})
 		}
+		coefs := ws.coefs[start:]
 		sense := m.senses[r]
 		if len(coefs) == 0 {
 			// Fully substituted row: check it holds.
@@ -128,7 +161,7 @@ func (m *Model) standardize() (*standard, error) {
 				ok = math.Abs(rhs) <= feasTol
 			}
 			if !ok {
-				return nil, fmt.Errorf("lp: row %d infeasible after substitution", r)
+				return nil, false
 			}
 			continue
 		}
@@ -139,7 +172,7 @@ func (m *Model) standardize() (*standard, error) {
 			rhs = -rhs
 			sense = LE
 		}
-		s.rows = append(s.rows, coefs)
+		ws.ends = append(ws.ends, len(ws.coefs))
 		s.senses = append(s.senses, sense)
 		s.rhs = append(s.rhs, rhs)
 	}
@@ -148,147 +181,148 @@ func (m *Model) standardize() (*standard, error) {
 		if s.fixed[v] || math.IsInf(m.upper[v], 1) {
 			continue
 		}
-		s.rows = append(s.rows, []Coef{{Var: s.col[v], Val: 1}})
+		ws.coefs = append(ws.coefs, Coef{Var: s.col[v], Val: 1})
+		ws.ends = append(ws.ends, len(ws.coefs))
 		s.senses = append(s.senses, LE)
 		s.rhs = append(s.rhs, m.upper[v]-m.lower[v])
 	}
-	return s, nil
+	// Cut the row views only now: appends above may move the store.
+	s.rows = s.rows[:0]
+	start := 0
+	for _, end := range ws.ends {
+		s.rows = append(s.rows, ws.coefs[start:end:end])
+		start = end
+	}
+	return s, true
 }
 
 // tableau is the dense simplex tableau: a is nRows × (nCols+1) with the RHS
-// in the last column; basis[i] is the basic column of row i.
+// in the last column; basis[i] is the basic column of row i. Its slices are
+// views into storage kept across solves, refilled in place by load.
 type tableau struct {
 	nRows, nCols int
 	nStruct      int // structural columns (prefix of 0..nStruct-1)
 	nArt         int
 	artStart     int
 	a            [][]float64
+	store        []float64 // flat backing store of a
 	basis        []int
-	// phase2cost is the structural objective padded with zeros for slack
+	// obj is the structural objective: the phase-2 cost, zero on slack
 	// and artificial columns.
-	phase2cost []float64
+	obj []float64
+	// cost is the current phase's cost row and z its reduced-cost row,
+	// with -objective in the RHS slot.
+	cost, z []float64
+	// nz lists the nonzero columns of the last pivot row.
+	nz []int32
 }
 
-func newTableau(s *standard) *tableau {
+// load fills t with the initial tableau of s. Columns: structural, one
+// slack per LE row, one artificial per row that needs one (EQ rows and
+// negative-RHS LE rows), then the RHS.
+func (t *tableau) load(s *standard) {
 	nRows := len(s.rows)
-	// Columns: structural, one slack per LE row, one artificial per row
-	// that needs one (negative-RHS LE rows and EQ rows).
-	nSlack := 0
-	for _, sense := range s.senses {
+	nSlack, nArt := 0, 0
+	for r, sense := range s.senses {
 		if sense == LE {
 			nSlack++
 		}
+		if needsArtificial(sense, s.rhs[r]) {
+			nArt++
+		}
 	}
-	t := &tableau{nRows: nRows, nStruct: s.nVars}
-	slackStart := s.nVars
+	t.nRows, t.nStruct, t.nArt = nRows, s.nVars, nArt
 	t.artStart = s.nVars + nSlack
-	// Worst case: an artificial for every row.
-	t.nCols = t.artStart + nRows
+	t.nCols = t.artStart + nArt
 	width := t.nCols + 1
-	t.a = make([][]float64, nRows)
-	t.basis = make([]int, nRows)
-
-	slack := 0
-	art := 0
+	t.store = grow(t.store, nRows*width)
+	clear(t.store)
+	t.a = t.a[:0]
 	for r := 0; r < nRows; r++ {
-		row := make([]float64, width)
+		t.a = append(t.a, t.store[r*width:(r+1)*width:(r+1)*width])
+	}
+	t.basis = grow(t.basis, nRows)
+
+	slack := s.nVars
+	art := t.artStart
+	for r, row := range t.a {
 		for _, c := range s.rows[r] {
 			row[c.Var] += c.Val
 		}
-		rhs := s.rhs[r]
-		var slackCol = -1
+		slackCol := -1
 		if s.senses[r] == LE {
-			slackCol = slackStart + slack
-			row[slackCol] = 1
+			slackCol = slack
+			row[slack] = 1
 			slack++
 		}
+		rhs := s.rhs[r]
 		if rhs < 0 {
 			// Negate so every RHS is nonnegative.
 			for j := range row {
 				row[j] = -row[j]
 			}
 			rhs = -rhs
-			row[t.nCols] = rhs
-		} else {
-			row[t.nCols] = rhs
 		}
-		// Pick the initial basic variable: the slack if its coefficient
-		// is +1, otherwise an artificial.
-		if slackCol >= 0 && row[slackCol] == 1 {
-			t.basis[r] = slackCol
-		} else {
-			ac := t.artStart + art
+		row[t.nCols] = rhs
+		// The initial basic variable is the slack when its coefficient is
+		// +1, otherwise an artificial.
+		if needsArtificial(s.senses[r], s.rhs[r]) {
+			row[art] = 1
+			t.basis[r] = art
 			art++
-			row[ac] = 1
-			t.basis[r] = ac
+		} else {
+			t.basis[r] = slackCol
 		}
-		t.a[r] = row
 	}
-	t.nArt = art
-	// Trim unused artificial columns.
-	used := t.artStart + art
-	for r := range t.a {
-		rhs := t.a[r][t.nCols]
-		t.a[r] = append(t.a[r][:used], rhs)
-	}
-	t.nCols = used
-	t.phase2cost = make([]float64, t.nCols)
-	copy(t.phase2cost, s.obj)
-	return t
+	t.obj = s.obj
+	t.cost = grow(t.cost, t.nCols)
+	t.z = grow(t.z, width)
 }
 
-// run performs phase 1 (if artificials exist) and phase 2, returning the
-// solution in structural-column space.
-func (t *tableau) run(iterLimit int) *Solution {
+// needsArtificial reports whether a standard-form row starts with an
+// artificial basic variable: an EQ row has no slack, and a negative-RHS LE
+// row's slack turns -1 when the row is negated.
+func needsArtificial(sense Sense, rhs float64) bool {
+	return sense != LE || rhs < 0
+}
+
+// run performs phase 1 (if artificials exist) and phase 2, leaving the
+// optimal basis in the tableau; it returns the status and the pivot count.
+func (t *tableau) run(iterLimit int) (Status, int) {
 	iters := 0
 	if t.nArt > 0 {
 		// Phase 1: minimize the sum of artificials.
-		cost := make([]float64, t.nCols)
+		clear(t.cost[:t.artStart])
 		for j := t.artStart; j < t.nCols; j++ {
-			cost[j] = 1
+			t.cost[j] = 1
 		}
-		z := t.priceOut(cost)
-		st, n := t.iterate(z, cost, iterLimit, true)
+		t.priceOut()
+		st, n := t.iterate(iterLimit, true)
 		iters += n
 		if st == IterLimit {
-			return &Solution{Status: IterLimit, Iterations: iters}
+			return IterLimit, iters
 		}
-		if -z[t.nCols] > feasTol { // phase-1 optimum is -z[rhs]
-			return &Solution{Status: Infeasible, Iterations: iters}
+		if -t.z[t.nCols] > feasTol { // phase-1 optimum is -z[rhs]
+			return Infeasible, iters
 		}
 		t.evictArtificials()
 	}
 	// Phase 2 on the (possibly row-reduced) tableau, artificials banned.
-	cost := make([]float64, t.nCols)
-	copy(cost, t.phase2cost)
-	z := t.priceOut(cost)
-	st, n := t.iterate(z, cost, iterLimit-iters, false)
-	iters += n
-	if st != Optimal {
-		return &Solution{Status: st, Iterations: iters}
-	}
-	return t.extract(z, iters)
+	copy(t.cost, t.obj)
+	clear(t.cost[len(t.obj):])
+	t.priceOut()
+	st, n := t.iterate(iterLimit-iters, false)
+	return st, iters + n
 }
 
-// extract reads the optimal basic solution out of the tableau.
-func (t *tableau) extract(z []float64, iters int) *Solution {
-	x := make([]float64, t.nStruct)
+// priceOut builds the reduced-cost row z for the current cost row:
+// z_j = c_j - Σ_basic c_B · row, with -objective in the RHS slot.
+func (t *tableau) priceOut() {
+	z := t.z
+	copy(z, t.cost)
+	z[t.nCols] = 0
 	for r, b := range t.basis {
-		if b < t.nStruct {
-			x[b] = t.a[r][t.nCols]
-		}
-	}
-	return &Solution{Status: Optimal, Objective: -z[t.nCols], X: x, Iterations: iters}
-}
-
-// priceOut builds the reduced-cost row z (length nCols+1) for the given
-// cost vector: z_j = c_j - Σ_basic c_B · row, with -objective in the RHS
-// slot.
-func (t *tableau) priceOut(cost []float64) []float64 {
-	z := make([]float64, t.nCols+1)
-	copy(z, cost)
-	for r, b := range t.basis {
-		cb := cost[b]
+		cb := t.cost[b]
 		if cb == 0 {
 			continue
 		}
@@ -297,14 +331,13 @@ func (t *tableau) priceOut(cost []float64) []float64 {
 			z[j] -= cb * row[j]
 		}
 	}
-	return z
 }
 
-// iterate pivots until optimal/unbounded or the iteration cap. banArt bans
-// artificial columns from entering (used in both phases; in phase 1 they
-// are already basic or zero-reduced-cost and re-entering them is useless).
-func (t *tableau) iterate(z, cost []float64, iterLimit int, phase1 bool) (Status, int) {
-	_ = cost
+// iterate pivots until optimal/unbounded or the iteration cap. In phase 2
+// artificial columns are banned from entering; in phase 1 they are already
+// basic or zero-reduced-cost, so they never win the pricing.
+func (t *tableau) iterate(iterLimit int, phase1 bool) (Status, int) {
+	z := t.z
 	stall := 0
 	lastObj := math.Inf(1)
 	for iter := 0; ; iter++ {
@@ -359,34 +392,43 @@ func (t *tableau) iterate(z, cost []float64, iterLimit int, phase1 bool) (Status
 	}
 }
 
-// pivot makes column c basic in row r, updating all rows and the cost row z.
+// pivot makes column c basic in row r, updating all rows and the cost row
+// z (nil: no cost row). Only the pivot row's nonzero columns are updated:
+// x − f·0 == x, so skipping its zeros leaves every nonzero entry
+// bit-identical to the dense update (only the sign of a zero can differ,
+// which no comparison sees).
 func (t *tableau) pivot(r, c int, z []float64) {
 	row := t.a[r]
-	p := row[c]
-	inv := 1 / p
-	for j := 0; j <= t.nCols; j++ {
-		row[j] *= inv
+	inv := 1 / row[c]
+	nz := t.nz[:0]
+	for j, v := range row {
+		if v != 0 {
+			row[j] = v * inv
+			nz = append(nz, int32(j))
+		}
 	}
 	row[c] = 1 // exact
-	for i := 0; i < t.nRows; i++ {
+	t.nz = nz
+	for i, ri := range t.a {
 		if i == r {
 			continue
 		}
-		f := t.a[i][c]
+		f := ri[c]
 		if f == 0 {
 			continue
 		}
-		ri := t.a[i]
-		for j := 0; j <= t.nCols; j++ {
+		for _, j := range nz {
 			ri[j] -= f * row[j]
 		}
 		ri[c] = 0
 	}
-	if f := z[c]; f != 0 {
-		for j := 0; j <= t.nCols; j++ {
-			z[j] -= f * row[j]
+	if z != nil {
+		if f := z[c]; f != 0 {
+			for _, j := range nz {
+				z[j] -= f * row[j]
+			}
+			z[c] = 0
 		}
-		z[c] = 0
 	}
 	t.basis[r] = c
 }
@@ -395,10 +437,9 @@ func (t *tableau) pivot(r, c int, z []float64) {
 // the largest-magnitude non-artificial column of their row — the stable
 // choice under degeneracy, keeping the pivotTol discipline from amplifying
 // round-off the way a first-over-threshold pick can — or deleting the row
-// when every such entry is below pivotTol (redundant constraint). One
-// scratch cost row is shared across all evictions.
+// when every such entry is below pivotTol (redundant constraint). Phase 2
+// prices its cost row from scratch, so these pivots update no cost row.
 func (t *tableau) evictArtificials() {
-	var scratch []float64
 	for r := 0; r < t.nRows; {
 		if t.basis[r] < t.artStart {
 			r++
@@ -411,10 +452,7 @@ func (t *tableau) evictArtificials() {
 			}
 		}
 		if best >= 0 {
-			if scratch == nil {
-				scratch = make([]float64, t.nCols+1)
-			}
-			t.pivot(r, best, scratch)
+			t.pivot(r, best, nil)
 			r++
 			continue
 		}

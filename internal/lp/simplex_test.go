@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -313,5 +314,93 @@ func TestAddRowMergesDuplicates(t *testing.T) {
 	requireStatus(t, sol, Optimal)
 	if math.Abs(sol.X[0]-2) > 1e-8 {
 		t.Fatalf("x = %v, want 2", sol.X[0])
+	}
+}
+
+// cloneTestModel is a bounded LP with every row sense, big enough that its
+// solves pivot through phase 1 and phase 2.
+func cloneTestModel() *Model {
+	rng := rand.New(rand.NewSource(5))
+	const n = 12
+	m := NewModel(n)
+	for v := 0; v < n; v++ {
+		m.SetObj(v, rng.Float64()*2-1)
+		m.SetBounds(v, 0, 1+float64(rng.Intn(3)))
+	}
+	for r := 0; r < 10; r++ {
+		var cs []Coef
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				cs = append(cs, Coef{v, rng.Float64()*2 - 0.5})
+			}
+		}
+		m.AddRow(cs, Sense(r%3), rng.Float64()*3)
+	}
+	return m
+}
+
+// solveWalk fixes each variable of m to each of its two smallest integers in
+// turn, solving after every change and releasing the fix afterwards; it
+// returns every solution.
+func solveWalk(m *Model) ([]*Solution, error) {
+	var out []*Solution
+	for v := 0; v < m.NumVars(); v++ {
+		lo, hi := m.Bounds(v)
+		for b := lo; b <= lo+1; b++ {
+			m.SetBounds(v, b, b)
+			sol, err := m.Solve()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, sol)
+		}
+		m.SetBounds(v, lo, hi)
+	}
+	return out, nil
+}
+
+func TestCloneSolvesConcurrently(t *testing.T) {
+	// Solve keeps scratch in the model, so Clone must not share it: clones
+	// of a solved model, solved from two goroutines at once (the CI race
+	// job runs this under -race), give exactly the sequential results.
+	base := cloneTestModel()
+	if _, err := base.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if base.Clone().ws != nil {
+		t.Fatal("Clone copied the solve workspace")
+	}
+	want, err := solveWalk(base.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clones := []*Model{base.Clone(), base.Clone()}
+	got := make([][]*Solution, len(clones))
+	var wg sync.WaitGroup
+	for k, c := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sols, err := solveWalk(c)
+			if err != nil {
+				t.Error(err)
+			}
+			got[k] = sols
+		}()
+	}
+	// The base model keeps solving meanwhile, on its own workspace.
+	if _, err := solveWalk(base); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for k := range clones {
+		if len(got[k]) != len(want) {
+			t.Fatalf("clone %d: %d solutions, want %d", k, len(got[k]), len(want))
+		}
+		for i := range want {
+			if d := DiffSolution(got[k][i], want[i]); d != "" {
+				t.Fatalf("clone %d solve %d: %s", k, i, d)
+			}
+		}
 	}
 }
