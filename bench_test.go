@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (one per figure) plus
-// ablation benches for the design choices called out in DESIGN.md.
+// ablation benches for the model extensions beyond the paper (divisible
+// tasks, reconfiguration-priced general mappings).
 //
 // Each figure bench runs its campaign at a reduced draw count (benchmarks
 // must stay minutes, not hours; cmd/mfexp runs paper-scale campaigns) and
@@ -136,8 +137,8 @@ func BenchmarkHeuristicH4w(b *testing.B) { benchHeuristic(b, "H4w", 100, 5, 20) 
 func BenchmarkHeuristicH4f(b *testing.B) { benchHeuristic(b, "H4f", 100, 5, 20) }
 
 // BenchmarkAblationSplit compares the divisible-task extension against the
-// plain integral H4w (DESIGN.md §4): the reported metric is the split
-// mapping's period; compare with BenchmarkHeuristicH4wRoomy's.
+// plain integral H4w (see heuristics.H4wSplit): the reported metric is the
+// split mapping's period; compare with BenchmarkHeuristicH4wRoomy's.
 func BenchmarkAblationSplit(b *testing.B) {
 	pr := gen.Default(40, 5, 14)
 	pr.FMin, pr.FMax = 0, 0.10
@@ -182,7 +183,8 @@ func BenchmarkHeuristicH4wRoomy(b *testing.B) {
 
 // BenchmarkAblationGeneralReconfig sweeps the reconfiguration-cost knob of
 // the general-mapping greedy at a representative value, reporting the
-// effective period including the penalty (DESIGN.md §4).
+// effective period including the penalty (see heuristics.GeneralH4w and
+// core.ReconfigEvaluate).
 func BenchmarkAblationGeneralReconfig(b *testing.B) {
 	in, err := gen.Chain(gen.Default(30, 4, 8), gen.RNG(17))
 	if err != nil {

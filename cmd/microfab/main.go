@@ -49,7 +49,7 @@ func main() {
 		inPath  = flag.String("in", "", "instance JSON file (required unless -fig)")
 		solver  = flag.String("solver", "", "solving method (H1 H2 H2r H3 H4 H4w H4f MIP exact oto oto-greedy ls anneal)")
 		method  = flag.String("method", "", "alias of -solver")
-		rule    = flag.String("rule", "specialized", "rule to validate the result against: one-to-one | specialized | general")
+		rule    = flag.String("rule", "specialized", "rule to validate the result against: one-to-one (oto) | specialized | general")
 		seed    = flag.Int64("seed", 1, "random seed (H1/anneal/polish; campaign seed with -fig)")
 		polish  = flag.String("polish", "", "local-search post-pass on the solver's mapping: ls | anneal")
 		pBudget = flag.Int("polish-budget", 0, "post-pass budget: moves priced (ls) or proposals (anneal); 0 = default")
@@ -60,7 +60,6 @@ func main() {
 		thin    = flag.Int("thin", 0, "with -fig: keep every k-th x point (0 = all)")
 		workers = flag.Int("workers", 0, "concurrent workers: draw workers with -fig, root-split workers with -solver exact (0 = all CPUs, 1 = sequential)")
 		warm    = flag.Bool("warm", true, "with -solver exact: seed the incumbent with the H4w heuristic")
-		noIncB  = flag.Bool("no-inc-bound", false, "with -solver exact: recompute the per-node bound from scratch instead of the delta-maintained cache (ablation; results are byte-identical)")
 	)
 	flag.Parse()
 	if *solver != "" && *method != "" && *solver != *method {
@@ -85,7 +84,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*inPath, name, *rule, *seed, *outPath, *xout, *polish, *pBudget, *workers, *warm, *noIncB); err != nil {
+	if err := run(*inPath, name, *rule, *seed, *outPath, *xout, *polish, *pBudget, *workers, *warm); err != nil {
 		fmt.Fprintln(os.Stderr, "microfab:", err)
 		os.Exit(1)
 	}
@@ -103,21 +102,14 @@ func runFigure(fig, draws, thin, workers int, seed int64, polish string, polishB
 	return nil
 }
 
-func run(inPath, method, ruleName string, seed int64, outPath string, xout float64, polish string, polishBudget int, workers int, warm, noIncBound bool) error {
+func run(inPath, method, ruleName string, seed int64, outPath string, xout float64, polish string, polishBudget int, workers int, warm bool) error {
 	in, err := instance.Load(inPath)
 	if err != nil {
 		return err
 	}
-	var rule core.Rule
-	switch ruleName {
-	case "one-to-one":
-		rule = core.OneToOne
-	case "specialized":
-		rule = core.Specialized
-	case "general":
-		rule = core.GeneralRule
-	default:
-		return fmt.Errorf("unknown rule %q", ruleName)
+	rule, err := core.ParseRule(ruleName)
+	if err != nil {
+		return err
 	}
 
 	var mp *core.Mapping
@@ -133,11 +125,10 @@ func run(inPath, method, ruleName string, seed int64, outPath string, xout float
 		}
 		var err error
 		exactRes, err = microfab.SolveExact(in, microfab.ExactOptions{
-			Rule:                    rule,
-			TimeLimit:               30 * time.Second,
-			Workers:                 w,
-			WarmStart:               warm,
-			DisableIncrementalBound: noIncBound,
+			Rule:      rule,
+			TimeLimit: 30 * time.Second,
+			Workers:   w,
+			WarmStart: warm,
 		})
 		if err != nil {
 			return err

@@ -215,26 +215,6 @@ func (a *Application) IsChain() bool {
 	return true
 }
 
-// ChainOrder returns the tasks of a linear chain from first to last, or an
-// error if the application is not a chain.
-func (a *Application) ChainOrder() ([]TaskID, error) {
-	if !a.IsChain() {
-		return nil, errors.New("app: application is not a linear chain")
-	}
-	return a.Topological(), nil
-}
-
-// TasksOfType returns all tasks of the given type in increasing ID order.
-func (a *Application) TasksOfType(ty TypeID) []TaskID {
-	var out []TaskID
-	for i, t := range a.tasks {
-		if t.Type == ty {
-			out = append(out, TaskID(i))
-		}
-	}
-	return out
-}
-
 // TypeCounts returns, for each type, how many tasks have that type.
 func (a *Application) TypeCounts() []int {
 	c := make([]int, a.numTypes)
@@ -242,25 +222,6 @@ func (a *Application) TypeCounts() []int {
 		c[t.Type]++
 	}
 	return c
-}
-
-// Depth returns the number of tasks on the longest path ending at the root.
-func (a *Application) Depth() int {
-	depth := make([]int, len(a.tasks))
-	best := 0
-	for _, t := range a.topo {
-		d := 1
-		for _, p := range a.preds[t] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[t] = d
-		if d > best {
-			best = d
-		}
-	}
-	return best
 }
 
 // String returns a compact description such as "chain(n=5,p=2)".

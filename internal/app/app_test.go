@@ -47,8 +47,8 @@ func TestNewChainSingleTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Root() != 0 || a.NumTasks() != 1 || a.Depth() != 1 {
-		t.Fatalf("bad single-task chain: root=%d n=%d depth=%d", a.Root(), a.NumTasks(), a.Depth())
+	if a.Root() != 0 || a.NumTasks() != 1 {
+		t.Fatalf("bad single-task chain: root=%d n=%d", a.Root(), a.NumTasks())
 	}
 }
 
@@ -134,12 +134,6 @@ func TestJoinTree(t *testing.T) {
 	if got := len(a.Sources()); got != 2 {
 		t.Fatalf("%d sources, want 2", got)
 	}
-	if a.Depth() != 3 {
-		t.Fatalf("depth = %d, want 3", a.Depth())
-	}
-	if _, err := a.ChainOrder(); err == nil {
-		t.Fatal("ChainOrder accepted an in-tree")
-	}
 }
 
 func TestTopologicalOrderProperty(t *testing.T) {
@@ -201,11 +195,8 @@ func TestCyclicTypes(t *testing.T) {
 	}
 }
 
-func TestTasksOfTypeAndCounts(t *testing.T) {
+func TestTypeCounts(t *testing.T) {
 	a := MustChain([]TypeID{0, 1, 0, 2, 0})
-	if got := a.TasksOfType(0); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("TasksOfType(0) = %v", got)
-	}
 	c := a.TypeCounts()
 	if c[0] != 3 || c[1] != 1 || c[2] != 1 {
 		t.Fatalf("TypeCounts = %v", c)
@@ -228,8 +219,8 @@ func TestBuilderAddChainEmpty(t *testing.T) {
 }
 
 func TestQuickChainShape(t *testing.T) {
-	// Property: a chain of n tasks has depth n, one source, and its
-	// topological order is 0..n-1.
+	// Property: a chain of n tasks has one source, and its topological
+	// order is 0..n-1.
 	f := func(raw uint8) bool {
 		n := int(raw%30) + 1
 		types := make([]TypeID, n)
@@ -237,7 +228,7 @@ func TestQuickChainShape(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if a.Depth() != n || len(a.Sources()) != 1 {
+		if len(a.Sources()) != 1 {
 			return false
 		}
 		for k, id := range a.Topological() {

@@ -146,9 +146,6 @@ func TestMappingHelpers(t *testing.T) {
 	if got := m.TasksOn(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("TasksOn(2) = %v", got)
 	}
-	if got := m.UsedMachines(); len(got) != 2 {
-		t.Fatalf("UsedMachines = %v", got)
-	}
 	c := m.Clone()
 	c.Assign(0, 1)
 	if m.Machine(0) != 2 {
@@ -372,5 +369,25 @@ func TestJoinTreeEvaluation(t *testing.T) {
 func TestRuleStrings(t *testing.T) {
 	if OneToOne.String() != "one-to-one" || Specialized.String() != "specialized" || GeneralRule.String() != "general" {
 		t.Fatal("rule strings wrong")
+	}
+}
+
+func TestParseRule(t *testing.T) {
+	// Every rule round-trips through its String form.
+	for _, r := range []Rule{OneToOne, Specialized, GeneralRule} {
+		got, err := ParseRule(r.String())
+		if err != nil || got != r {
+			t.Fatalf("ParseRule(%q) = %v, %v; want %v", r.String(), got, err, r)
+		}
+	}
+	for name, want := range map[string]Rule{"": Specialized, "oto": OneToOne} {
+		if got, err := ParseRule(name); err != nil || got != want {
+			t.Fatalf("ParseRule(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"Specialized", "one_to_one", "Rule(3)"} {
+		if _, err := ParseRule(name); err == nil {
+			t.Fatalf("ParseRule(%q) accepted", name)
+		}
 	}
 }

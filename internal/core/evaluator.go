@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"microfab/internal/app"
 	"microfab/internal/platform"
@@ -173,32 +172,19 @@ func (e *Evaluator) Demand(i app.TaskID) (float64, bool) {
 	return e.x[s], true
 }
 
-// Trial returns the period machine u would reach if it also carried task i,
-// without mutating anything: period(Mu) + x[i]·w[i][u] with x[i] priced on
-// u. The second result is false when i's downstream demand is unknown
-// (successor chain not fully assigned), in which case the period returned
-// is meaningless.
-func (e *Evaluator) Trial(i app.TaskID, u platform.MachineID) (float64, bool) {
-	d, ok := e.Demand(i)
-	if !ok {
-		return math.Inf(1), false
-	}
-	xi := e.in.Failures.Inflation(i, u) * d
-	return e.led.value(u) + xi*e.in.Platform.Time(i, u), true
-}
-
 // TrialAll writes, for every machine u, the period u would reach if it also
 // carried task i — one pass over the instance's structure-of-arrays rows
 // and the ledger's per-machine sums instead of m Trial calls, which each
 // redo the demand lookup, the inflation division and the time indirection.
 // out must have length M. It returns false (out untouched) when i's
 // downstream demand is unknown. Each out[u] is bit-equal to the
-// corresponding Trial(i, u): the cached inflation bits are exactly
-// Failures.Inflation's and the multiplication order is identical. The
-// 4-wide unroll is measured, not decorative: unlike Pricer.PriceAllAt
-// (whose range loop the compiler already bounds-check-eliminates), this
-// loop reads two ledger rows besides the tables, and unrolling it wins
-// ~8-10% on BenchmarkTrialAll at m=8..16.
+// corresponding scalar Trial(i, u), the test oracle in export_test.go: the
+// cached inflation bits are exactly Failures.Inflation's and the
+// multiplication order is identical. The 4-wide unroll is measured, not
+// decorative: unlike Pricer.PriceAllAt (whose range loop the compiler
+// already bounds-check-eliminates), this loop reads two ledger rows
+// besides the tables, and unrolling it wins ~8-10% on BenchmarkTrialAll
+// at m=8..16.
 func (e *Evaluator) TrialAll(i app.TaskID, out []float64) bool {
 	d, ok := e.Demand(i)
 	if !ok {

@@ -45,6 +45,20 @@ func (r Rule) String() string {
 	return fmt.Sprintf("Rule(%d)", int(r))
 }
 
+// ParseRule maps a rule name to its Rule: "" or "specialized" (the
+// default), "one-to-one" or "oto", and "general".
+func ParseRule(name string) (Rule, error) {
+	switch name {
+	case "", "specialized":
+		return Specialized, nil
+	case "one-to-one", "oto":
+		return OneToOne, nil
+	case "general":
+		return GeneralRule, nil
+	}
+	return 0, fmt.Errorf("unknown rule %q (have specialized, one-to-one, general)", name)
+}
+
 // Instance bundles the three model ingredients every solver consumes.
 //
 // It also owns the shared structure-of-arrays tables behind the batch
@@ -172,19 +186,6 @@ func (m *Mapping) TasksOn(u platform.MachineID) []app.TaskID {
 	for i, v := range m.a {
 		if v == u {
 			out = append(out, app.TaskID(i))
-		}
-	}
-	return out
-}
-
-// UsedMachines returns the set of machines with at least one task.
-func (m *Mapping) UsedMachines() []platform.MachineID {
-	seen := map[platform.MachineID]bool{}
-	var out []platform.MachineID
-	for _, u := range m.a {
-		if u != platform.NoMachine && !seen[u] {
-			seen[u] = true
-			out = append(out, u)
 		}
 	}
 	return out

@@ -174,9 +174,6 @@ func (p *Pricer) X(i app.TaskID) float64 { return p.x[i] }
 // Load returns the current load of machine u.
 func (p *Pricer) Load(u platform.MachineID) float64 { return p.load[u] }
 
-// Loads returns a copy of the per-machine loads.
-func (p *Pricer) Loads() []float64 { return append([]float64(nil), p.load...) }
-
 // Max returns the current maximum machine load in O(1).
 func (p *Pricer) Max() float64 { return p.max }
 
@@ -210,25 +207,11 @@ func (p *Pricer) Demand(i app.TaskID) (float64, bool) {
 	return p.x[s], true
 }
 
-// Trial returns the load machine u would reach if it also carried task i,
-// without mutating anything. The second result is false when i's downstream
-// demand is unknown (successor unassigned), in which case the load returned
-// is meaningless. Assigning i to u right after a successful Trial lands u
-// on exactly the returned bits.
-func (p *Pricer) Trial(i app.TaskID, u platform.MachineID) (float64, bool) {
-	d, ok := p.Demand(i)
-	if !ok {
-		return 0, false
-	}
-	xi := d * p.infl[int(i)*p.m+int(u)]
-	return p.load[u] + xi*p.tim[int(i)*p.m+int(u)], true
-}
-
 // PriceAll writes, for every machine u, the load u would reach if it also
 // carried task i — one pass over the structure-of-arrays rows instead of m
 // Trial calls. out must have length M. It returns false (out untouched)
 // when i's downstream demand is unknown. Each out[u] is bit-equal to the
-// corresponding Trial(i, u).
+// corresponding scalar Trial(i, u), the test oracle in export_test.go.
 func (p *Pricer) PriceAll(i app.TaskID, out []float64) bool {
 	d, ok := p.Demand(i)
 	if !ok {

@@ -11,6 +11,15 @@ import (
 	"microfab/internal/platform"
 )
 
+// loads snapshots the pricer's per-machine loads.
+func loads(pr *core.Pricer, m int) []float64 {
+	out := make([]float64, m)
+	for u := range out {
+		out[u] = pr.Load(platform.MachineID(u))
+	}
+	return out
+}
+
 // pricerCorpus draws the instance battery the pricing-only mode is gated
 // on: chains and in-trees, narrow and wide platforms, standard and
 // high-failure regimes.
@@ -140,7 +149,7 @@ func TestPricerRestoreBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := pr.Loads()
+	before := loads(pr, in.M())
 	beforeMax := pr.Max()
 	for trial := 0; trial < 50; trial++ {
 		// Random excursion below the node, then full backtrack.
@@ -153,7 +162,7 @@ func TestPricerRestoreBitExact(t *testing.T) {
 		for k := depth + extra - 1; k >= depth; k-- {
 			pr.Unassign(order[k])
 		}
-		after := pr.Loads()
+		after := loads(pr, in.M())
 		for u := range after {
 			if math.Float64bits(after[u]) != math.Float64bits(before[u]) {
 				t.Fatalf("trial %d: load(M%d) drifted: %x -> %x", trial, u+1,
@@ -215,7 +224,7 @@ func TestPricerCloneIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := pr.Loads()
+	snap := loads(pr, in.M())
 	cl := pr.Clone()
 	for k := 4; k < len(order); k++ {
 		if err := cl.Assign(order[k], platform.MachineID(k%in.M())); err != nil {
@@ -225,7 +234,7 @@ func TestPricerCloneIndependence(t *testing.T) {
 	if !cl.Complete() || pr.Complete() {
 		t.Fatal("clone completion leaked")
 	}
-	after := pr.Loads()
+	after := loads(pr, in.M())
 	for u := range snap {
 		if math.Float64bits(snap[u]) != math.Float64bits(after[u]) {
 			t.Fatalf("clone mutation leaked into original load(M%d)", u+1)

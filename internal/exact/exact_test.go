@@ -7,7 +7,6 @@ import (
 	"microfab/internal/app"
 	"microfab/internal/core"
 	"microfab/internal/gen"
-	"microfab/internal/oto"
 	"microfab/internal/platform"
 )
 
@@ -36,7 +35,7 @@ func TestSpecializedMatchesNaiveEnumeration(t *testing.T) {
 	}
 }
 
-func TestOneToOneMatchesOtoBruteForce(t *testing.T) {
+func TestOneToOneMatchesNaiveEnumeration(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		in, err := gen.Chain(gen.Default(4, 2, 5), gen.RNG(100+seed))
 		if err != nil {
@@ -46,12 +45,9 @@ func TestOneToOneMatchesOtoBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := oto.BruteForce(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.Period-core.Period(in, bf)) > 1e-9*res.Period {
-			t.Fatalf("seed %d: %v != %v", seed, res.Period, core.Period(in, bf))
+		want := naiveBest(in, core.OneToOne)
+		if math.Abs(res.Period-want) > 1e-9*res.Period {
+			t.Fatalf("seed %d: %v != %v", seed, res.Period, want)
 		}
 	}
 }

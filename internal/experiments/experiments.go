@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§7). Each FigN function reproduces one plot: it draws random
+// evaluation (§7). Figure(n, cfg) reproduces plot n: it draws random
 // campaigns with the paper's parameters, runs the heuristics (and, where
 // the paper does, the exact MIP or the optimal one-to-one solver), and
 // returns the series of mean periods the paper charts.
@@ -73,13 +73,6 @@ type Config struct {
 	// draw count is small next to the CPU count — exact campaigns pushing
 	// single large instances past the paper's n <= 15 regime.
 	ExactWorkers int
-	// ExactNoIncBound forces the exact burst's per-node bound onto the
-	// from-scratch recomputation instead of the delta-maintained cache
-	// (exact.Options.DisableIncrementalBound). The two paths compute
-	// bit-identical bounds, so any campaign — proven or budget-stopped —
-	// is byte-identical either way; the flag exists for ablation timings
-	// and cross-checks.
-	ExactNoIncBound bool
 	// Workers is the number of goroutines computing draws concurrently
 	// (0 = runtime.GOMAXPROCS(0); 1 = sequential). Any value yields the
 	// same series for the same Seed, except when a wall-clock solver
@@ -592,12 +585,11 @@ func mipCampaign(cfg Config, id, title string, xs []int, m, p int, names []strin
 			// instead of hunting for solutions. The burst is node-bounded
 			// so a binding budget stays deterministic.
 			if eres, err := exact.Solve(in, exact.Options{
-				Rule:                    core.Specialized,
-				Incumbent:               warm,
-				MaxNodes:                int64(cfg.mipNodes()),
-				TimeLimit:               cfg.mipTime() / 5,
-				Workers:                 cfg.ExactWorkers,
-				DisableIncrementalBound: cfg.ExactNoIncBound,
+				Rule:      core.Specialized,
+				Incumbent: warm,
+				MaxNodes:  int64(cfg.mipNodes()),
+				TimeLimit: cfg.mipTime() / 5,
+				Workers:   cfg.ExactWorkers,
 			}); err == nil && eres.Period < warmPeriod {
 				warm, warmPeriod = eres.Mapping, eres.Period
 			}
@@ -629,31 +621,6 @@ func mipCampaign(cfg Config, id, title string, xs []int, m, p int, names []strin
 	}
 }
 
-// Fig5 reproduces Figure 5; see fig5Campaign.
-func Fig5(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig5Campaign(cfg))
-}
-
-// Fig6 reproduces Figure 6; see fig6Campaign.
-func Fig6(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig6Campaign(cfg))
-}
-
-// Fig7 reproduces Figure 7; see fig7Campaign.
-func Fig7(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig7Campaign(cfg))
-}
-
-// Fig8 reproduces Figure 8; see fig8Campaign.
-func Fig8(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig8Campaign(cfg))
-}
-
-// Fig9 reproduces Figure 9; see fig9Campaign.
-func Fig9(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig9Campaign(cfg))
-}
-
 // fig10Campaign — small instances, m=5 machines, p=2 types, n=2..15 tasks,
 // all six heuristics against the exact MIP optimum. Paper finding: H4w is
 // again the best heuristic; H2 and H4 are close.
@@ -680,21 +647,6 @@ func fig12Campaign(cfg Config) campaign {
 	return mipCampaign(cfg, "fig12", "Heuristics vs MIP, m=9, p=4",
 		rangeInts(5, 20, 1), 9, 4,
 		[]string{"H2", "H3", "H4", "H4w"}, false)
-}
-
-// Fig10 reproduces Figure 10; see fig10Campaign.
-func Fig10(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig10Campaign(cfg))
-}
-
-// Fig11 reproduces Figure 11; see fig11Campaign.
-func Fig11(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig11Campaign(cfg))
-}
-
-// Fig12 reproduces Figure 12; see fig12Campaign.
-func Fig12(cfg Config) (*Result, error) {
-	return runCampaign(context.Background(), cfg, fig12Campaign(cfg))
 }
 
 // figureCampaign maps a figure number to its campaign description.

@@ -11,7 +11,7 @@ func quickCfg() Config {
 }
 
 func TestFig5Shape(t *testing.T) {
-	r, err := Fig5(quickCfg())
+	r, err := Figure(5, quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig5PeriodGrowsWithTasks(t *testing.T) {
-	r, err := Fig5(Config{Draws: 5, Thin: 10, Seed: 3})
+	r, err := Figure(5, Config{Draws: 5, Thin: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFig5PeriodGrowsWithTasks(t *testing.T) {
 }
 
 func TestFig9OtoDominates(t *testing.T) {
-	r, err := Fig9(Config{Draws: 3, Thin: 4, Seed: 5})
+	r, err := Figure(9, Config{Draws: 3, Thin: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestFig10MIPDominatesHeuristics(t *testing.T) {
 	// The node budget binds before the time limit: cheap and deterministic.
 	// Large-n draws are dropped as unproven; n=2 always solves.
 	cfg := Config{Draws: 1, Thin: 5, Seed: 11, MIPTimeLimit: 15 * time.Second, MIPMaxNodes: 200}
-	r, err := Fig10(cfg)
+	r, err := Figure(10, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFig11RatiosAtLeastOne(t *testing.T) {
 		t.Skip("exact solves are slow; skipped with -short")
 	}
 	cfg := Config{Draws: 1, Thin: 5, Seed: 13, MIPTimeLimit: 15 * time.Second, MIPMaxNodes: 200}
-	r, err := Fig11(cfg)
+	r, err := Figure(11, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFigureDispatch(t *testing.T) {
 }
 
 func TestRenderContainsSeries(t *testing.T) {
-	r, err := Fig6(Config{Draws: 2, Thin: 6, Seed: 2})
+	r, err := Figure(6, Config{Draws: 2, Thin: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestRenderContainsSeries(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a, err := Fig7(Config{Draws: 2, Thin: 6, Seed: 9})
+	a, err := Figure(7, Config{Draws: 2, Thin: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig7(Config{Draws: 2, Thin: 6, Seed: 9})
+	b, err := Figure(7, Config{Draws: 2, Thin: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestFig8HighFailureBlowup(t *testing.T) {
-	r, err := Fig8(Config{Draws: 3, Thin: 9, Seed: 21})
+	r, err := Figure(8, Config{Draws: 3, Thin: 9, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

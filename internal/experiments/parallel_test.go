@@ -18,11 +18,11 @@ func TestParallelMatchesSequentialFig5(t *testing.T) {
 	par := base
 	par.Workers = 8
 
-	a, err := Fig5(seq)
+	a, err := Figure(5, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig5(par)
+	b, err := Figure(5, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestParallelMatchesSequentialFig11(t *testing.T) {
 	par := base
 	par.Workers = 8
 
-	a, err := Fig11(seq)
+	a, err := Figure(11, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig11(par)
+	b, err := Figure(11, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestProgressReporting(t *testing.T) {
 			total = tot
 		},
 	}
-	r, err := Fig6(cfg)
+	r, err := Figure(6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestProgressReporting(t *testing.T) {
 // TestWorkersExceedItems: a pool larger than the work list still completes
 // (workers are clamped to the item count).
 func TestWorkersExceedItems(t *testing.T) {
-	r, err := Fig6(Config{Draws: 1, Thin: 10, Seed: 3, Workers: 64})
+	r, err := Figure(6, Config{Draws: 1, Thin: 10, Seed: 3, Workers: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestExactWorkersDeterministic(t *testing.T) {
 	par := base
 	par.ExactWorkers = 4
 
-	a, err := Fig11(seq)
+	a, err := Figure(11, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig11(par)
+	b, err := Figure(11, par)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,11 @@ func TestPolishedParallelMatchesSequential(t *testing.T) {
 			par := base
 			par.Workers = 8
 
-			a, err := Fig6(seq)
+			a, err := Figure(6, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Fig6(par)
+			b, err := Figure(6, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestPolishedParallelMatchesSequential(t *testing.T) {
 // polished mean period must be <= the unpolished one.
 func TestPolishNeverWorsensCampaign(t *testing.T) {
 	base := Config{Draws: 3, Thin: 4, Seed: 41, Workers: 4}
-	plain, err := Fig8(base)
+	plain, err := Figure(8, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPolishNeverWorsensCampaign(t *testing.T) {
 		polished := base
 		polished.Polish = strategy
 		polished.PolishBudget = 500
-		got, err := Fig8(polished)
+		got, err := Figure(8, polished)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestPolishNeverWorsensCampaign(t *testing.T) {
 // TestPolishUnknownStrategy: a bad Config.Polish fails the campaign with
 // a descriptive error instead of silently skipping the pass.
 func TestPolishUnknownStrategy(t *testing.T) {
-	_, err := Fig6(Config{Draws: 1, Thin: 10, Seed: 1, Polish: "tabu"})
+	_, err := Figure(6, Config{Draws: 1, Thin: 10, Seed: 1, Polish: "tabu"})
 	if err == nil {
 		t.Fatal("unknown polish strategy accepted")
 	}

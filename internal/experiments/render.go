@@ -67,7 +67,7 @@ func Render(r *Result) string {
 	return b.String()
 }
 
-// MeanRatio returns, for a normalized figure (Fig11-style), the average
+// MeanRatio returns, for a normalized figure (Figure 11-style), the average
 // over all points of a series' mean ratio — the paper's single-number
 // "factor from the optimal".
 func MeanRatio(r *Result, series string) float64 {

@@ -13,7 +13,7 @@ import (
 // ships them — and assembling reproduces the local engine byte for byte.
 func TestShardedAssembleMatchesLocal(t *testing.T) {
 	cfg := Config{Draws: 4, Thin: 3, Seed: 17, Workers: 1}
-	local, err := Fig5(cfg)
+	local, err := Figure(5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

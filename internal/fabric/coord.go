@@ -386,7 +386,7 @@ func (c *Coordinator) SubmitCampaignJob(ctx context.Context, spec CampaignSpec) 
 // byte-identical to a local exact.Solve for any worker count, chunk
 // placement, or exchange setting. Blocks until done or ctx ends.
 func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*ExactResult, error) {
-	rule, err := spec.rule()
+	rule, err := core.ParseRule(spec.Rule)
 	if err != nil {
 		return nil, err
 	}
@@ -394,10 +394,7 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 	if err != nil {
 		return nil, err
 	}
-	opts := exact.Options{
-		Rule: rule, MaxNodes: spec.MaxNodes, WarmStart: spec.WarmStart,
-		DisableIncrementalBound: spec.NoIncBound,
-	}
+	opts := exact.Options{Rule: rule, MaxNodes: spec.MaxNodes, WarmStart: spec.WarmStart}
 	target := spec.Subtrees
 	if target <= 0 {
 		target = c.cfg.Subtrees

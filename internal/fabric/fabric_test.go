@@ -9,9 +9,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -230,29 +233,6 @@ func TestExactDistributedMatchesLocal(t *testing.T) {
 		}
 	}
 
-	// Incremental bound off: every participant recomputes the bound from
-	// scratch, and the merged proof is still byte-identical to the local
-	// reference (the two bound paths are bit-equal by construction).
-	_, srv := testCoord(t, CoordConfig{})
-	stop := startWorkers(t, srv.URL, 2)
-	res, err := SubmitExact(context.Background(), srv.Client(), srv.URL, ExactSpec{
-		Instance:   *file,
-		WarmStart:  true,
-		Subtrees:   16,
-		NoIncBound: true,
-	})
-	stop()
-	if err != nil {
-		t.Fatalf("no-inc-bound: %v", err)
-	}
-	if !res.Proven || res.Period != ref.Period {
-		t.Fatalf("no-inc-bound: proven=%v period %v, want proven at %v", res.Proven, res.Period, ref.Period)
-	}
-	for i, u := range res.Assign {
-		if platform.MachineID(u) != ref.Mapping.Machine(app.TaskID(i)) {
-			t.Fatalf("no-inc-bound: mapping diverges at task %d", i)
-		}
-	}
 }
 
 // TestWorkerDrain: a drained worker finishes and reports its current
@@ -365,5 +345,79 @@ func TestSubmitterHangupCancelsJob(t *testing.T) {
 	st := coord.status()
 	if len(st.Jobs) != 1 || !st.Jobs[0].Finished || st.Jobs[0].Pending != 0 {
 		t.Fatalf("cancelled job not drained: %+v", st.Jobs)
+	}
+}
+
+// postRaw posts a literal JSON body and returns the raw response body,
+// failing on any non-200 status.
+func postRaw(t *testing.T, srv *httptest.Server, path, body string) []byte {
+	t.Helper()
+	resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: HTTP %d: %s", path, resp.StatusCode, out)
+	}
+	return out
+}
+
+// TestRemovedAblationFieldsIgnored: specs written for older releases may
+// still carry the removed incremental-bound and relaxation-tier ablation
+// switches (testdata/removed_fields.json). The coordinator ignores unknown
+// fields, so such a spec runs and its response is byte-identical to the
+// same spec without them.
+func TestRemovedAblationFieldsIgnored(t *testing.T) {
+	raw, err := os.ReadFile("testdata/removed_fields.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var removed map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &removed); err != nil {
+		t.Fatal(err)
+	}
+	in, err := gen.Chain(gen.Default(10, 3, 5), gen.RNG(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv := testCoord(t, CoordConfig{ChunkDraws: 1})
+	stop := startWorkers(t, srv.URL, 2)
+	defer stop()
+
+	for _, c := range []struct {
+		path string
+		spec any
+	}{
+		// A MIP figure, so the exact burst the old campaign switch steered
+		// runs; the node budget binds long before the wall clock.
+		{"/campaign", CampaignSpec{Figure: 10, Draws: 1, Thin: 7, Seed: 3, MIPMaxNodes: 100, MIPTimeLimitMs: 600000}},
+		// Exchange off keeps the merged node count independent of timing.
+		{"/exact", ExactSpec{Instance: *instance.FromInstance(in, "legacy spec"), WarmStart: true, Subtrees: 8, DisableExchange: true}},
+	} {
+		plain, err := json.Marshal(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(plain, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range removed {
+			fields[k] = v
+		}
+		legacy, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := postRaw(t, srv, c.path, string(plain))
+		got := postRaw(t, srv, c.path, string(legacy))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: response with removed fields differs:\n got  %s\n want %s", c.path, got, want)
+		}
 	}
 }

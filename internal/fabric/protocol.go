@@ -30,10 +30,8 @@
 package fabric
 
 import (
-	"fmt"
 	"time"
 
-	"microfab/internal/core"
 	"microfab/internal/exact"
 	"microfab/internal/experiments"
 	"microfab/internal/instance"
@@ -49,7 +47,8 @@ const (
 // subset of experiments.Config a remote worker needs to reproduce a draw
 // bit-exactly, plus the figure number. POST it to /campaign. Unknown JSON
 // fields are ignored, so older specs carrying the removed relaxation-tier
-// ablation (which never changed results) still decode and run.
+// and incremental-bound ablations (which never changed results) still
+// decode and run.
 type CampaignSpec struct {
 	Figure         int    `json:"figure"`
 	Draws          int    `json:"draws,omitempty"`
@@ -58,7 +57,6 @@ type CampaignSpec struct {
 	MIPTimeLimitMs int64  `json:"mipTimeLimitMs,omitempty"`
 	MIPMaxNodes    int    `json:"mipMaxNodes,omitempty"`
 	ExactWorkers   int    `json:"exactWorkers,omitempty"`
-	ExactNoIncB    bool   `json:"exactNoIncBound,omitempty"`
 	Polish         string `json:"polish,omitempty"`
 	PolishBudget   int    `json:"polishBudget,omitempty"`
 }
@@ -69,24 +67,25 @@ type CampaignSpec struct {
 // its own local parallelism without touching the result.
 func (s CampaignSpec) Config() experiments.Config {
 	return experiments.Config{
-		Draws:           s.Draws,
-		Seed:            s.Seed,
-		Thin:            s.Thin,
-		MIPTimeLimit:    time.Duration(s.MIPTimeLimitMs) * time.Millisecond,
-		MIPMaxNodes:     s.MIPMaxNodes,
-		ExactWorkers:    s.ExactWorkers,
-		ExactNoIncBound: s.ExactNoIncB,
-		Polish:          s.Polish,
-		PolishBudget:    s.PolishBudget,
+		Draws:        s.Draws,
+		Seed:         s.Seed,
+		Thin:         s.Thin,
+		MIPTimeLimit: time.Duration(s.MIPTimeLimitMs) * time.Millisecond,
+		MIPMaxNodes:  s.MIPMaxNodes,
+		ExactWorkers: s.ExactWorkers,
+		Polish:       s.Polish,
+		PolishBudget: s.PolishBudget,
 	}
 }
 
 // ExactSpec is one distributed exact solve. POST it to /exact. Unknown JSON
 // fields are ignored, so older specs carrying the removed relaxation-tier
-// ablation (which never changed results) still decode and run.
+// and incremental-bound ablations (which never changed results) still
+// decode and run.
 type ExactSpec struct {
 	Instance instance.File `json:"instance"`
-	// Rule is "specialized" (default, ""), "one-to-one" or "general".
+	// Rule is "specialized" (default, ""), "one-to-one" ("oto") or
+	// "general"; see core.ParseRule.
 	Rule string `json:"rule,omitempty"`
 	// MaxNodes budgets each subtree (and the frontier enumeration)
 	// separately; 0 = the exact package default.
@@ -99,25 +98,6 @@ type ExactSpec struct {
 	// prune only against their self-derived warm start. Results are
 	// byte-identical either way; exchange only saves nodes.
 	DisableExchange bool `json:"disableExchange,omitempty"`
-	// NoIncBound forces every participant's bound onto the from-scratch
-	// per-node recomputation instead of the delta-maintained cache. The
-	// two paths are bit-identical, so proven merges never change; the
-	// flag exists for ablation and cross-checking.
-	NoIncBound bool `json:"noIncBound,omitempty"`
-}
-
-// Rules maps the spec's rule name (shared with the serve daemon's
-// conventions) to the core rule.
-func (s ExactSpec) rule() (core.Rule, error) {
-	switch s.Rule {
-	case "", "specialized":
-		return core.Specialized, nil
-	case "one-to-one", "oto":
-		return core.OneToOne, nil
-	case "general":
-		return core.GeneralRule, nil
-	}
-	return 0, fmt.Errorf("unknown rule %q (have specialized, one-to-one, general)", s.Rule)
 }
 
 // ExactResult is the merged outcome of a distributed exact solve.

@@ -16,35 +16,6 @@ import (
 	"microfab/internal/platform"
 )
 
-// Rate is an exact failure ratio l/b: l products lost out of every b
-// processed. The paper specifies rates this way (e.g. 1/200 .. 1/50) so we
-// keep the rational form; Float converts when real arithmetic is needed.
-type Rate struct {
-	Lost, Per int64
-}
-
-// NewRate returns the rate l/b after validating 0 <= l <= b, b > 0.
-func NewRate(lost, per int64) (Rate, error) {
-	if per <= 0 {
-		return Rate{}, fmt.Errorf("failure: denominator must be positive, got %d", per)
-	}
-	if lost < 0 || lost > per {
-		return Rate{}, fmt.Errorf("failure: need 0 <= lost <= per, got %d/%d", lost, per)
-	}
-	return Rate{Lost: lost, Per: per}, nil
-}
-
-// Float returns the probability l/b as a float64.
-func (r Rate) Float() float64 {
-	if r.Per == 0 {
-		return 0
-	}
-	return float64(r.Lost) / float64(r.Per)
-}
-
-// String formats the rate as "l/b".
-func (r Rate) String() string { return fmt.Sprintf("%d/%d", r.Lost, r.Per) }
-
 // Class describes the structure of a failure matrix; the paper's complexity
 // results split on it.
 type Class int
@@ -103,18 +74,6 @@ func New(f [][]float64) (*Matrix, error) {
 	return &Matrix{f: cp}, nil
 }
 
-// NewFromRates builds a matrix from exact l/b rates.
-func NewFromRates(r [][]Rate) (*Matrix, error) {
-	f := make([][]float64, len(r))
-	for i, row := range r {
-		f[i] = make([]float64, len(row))
-		for u, rate := range row {
-			f[i][u] = rate.Float()
-		}
-	}
-	return New(f)
-}
-
 // NewTaskOnly builds a TaskOnly matrix f[i][u] = fi[i] for m machines.
 func NewTaskOnly(fi []float64, m int) (*Matrix, error) {
 	rows := make([][]float64, len(fi))
@@ -123,17 +82,6 @@ func NewTaskOnly(fi []float64, m int) (*Matrix, error) {
 		for u := range row {
 			row[u] = v
 		}
-		rows[i] = row
-	}
-	return New(rows)
-}
-
-// NewMachineOnly builds a MachineOnly matrix f[i][u] = fu[u] for n tasks.
-func NewMachineOnly(fu []float64, n int) (*Matrix, error) {
-	rows := make([][]float64, n)
-	for i := range rows {
-		row := make([]float64, len(fu))
-		copy(row, fu)
 		rows[i] = row
 	}
 	return New(rows)
@@ -220,18 +168,4 @@ func (mx *Matrix) Classify() Class {
 		return MachineOnly
 	}
 	return General
-}
-
-// MaxInflationProduct returns, for a chain application in task order, the
-// upper bounds MAXx_i = prod_{j>=i} 1/(1-max_u f[j][u]) used to linearise
-// the MIP's big-M constraints.
-func (mx *Matrix) MaxInflationProduct(chain []app.TaskID) []float64 {
-	n := len(chain)
-	out := make([]float64, n)
-	acc := 1.0
-	for k := n - 1; k >= 0; k-- {
-		acc *= 1 / (1 - mx.WorstRate(chain[k]))
-		out[k] = acc
-	}
-	return out
 }

@@ -4,31 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"microfab/internal/app"
 )
-
-func TestNewRate(t *testing.T) {
-	r, err := NewRate(1, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Float() != 0.005 {
-		t.Fatalf("Float = %v, want 0.005", r.Float())
-	}
-	if r.String() != "1/200" {
-		t.Fatalf("String = %q", r.String())
-	}
-	if _, err := NewRate(-1, 10); err == nil {
-		t.Fatal("negative lost accepted")
-	}
-	if _, err := NewRate(11, 10); err == nil {
-		t.Fatal("lost > per accepted")
-	}
-	if _, err := NewRate(0, 0); err == nil {
-		t.Fatal("zero denominator accepted")
-	}
-}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
@@ -70,7 +46,7 @@ func TestClassify(t *testing.T) {
 	if got := ta.Classify(); got != TaskOnly {
 		t.Fatalf("task-only classified as %v", got)
 	}
-	ma, _ := NewMachineOnly([]float64{0.01, 0.02, 0.03}, 2)
+	ma, _ := New([][]float64{{0.01, 0.02, 0.03}, {0.01, 0.02, 0.03}})
 	if got := ma.Classify(); got != MachineOnly {
 		t.Fatalf("machine-only classified as %v", got)
 	}
@@ -95,29 +71,6 @@ func TestWorstBestRate(t *testing.T) {
 	m, _ := New([][]float64{{0.01, 0.05, 0.02}})
 	if m.WorstRate(0) != 0.05 || m.BestRate(0) != 0.01 {
 		t.Fatalf("worst/best = %v/%v", m.WorstRate(0), m.BestRate(0))
-	}
-}
-
-func TestNewFromRates(t *testing.T) {
-	m, err := NewFromRates([][]Rate{{{Lost: 1, Per: 2}, {Lost: 1, Per: 4}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rate(0, 0) != 0.5 || m.Rate(0, 1) != 0.25 {
-		t.Fatalf("rates = %v %v", m.Rate(0, 0), m.Rate(0, 1))
-	}
-}
-
-func TestMaxInflationProduct(t *testing.T) {
-	// Chain of 2 tasks; worst rates 0.5 and 0.2 → MAXx = (2·1.25, 1.25).
-	m, _ := New([][]float64{{0.5, 0.1}, {0.2, 0.1}})
-	chain := []app.TaskID{0, 1}
-	got := m.MaxInflationProduct(chain)
-	if math.Abs(got[1]-1.25) > 1e-12 {
-		t.Fatalf("MAXx[1] = %v, want 1.25", got[1])
-	}
-	if math.Abs(got[0]-2.5) > 1e-12 {
-		t.Fatalf("MAXx[0] = %v, want 2.5", got[0])
 	}
 }
 

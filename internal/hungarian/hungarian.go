@@ -5,7 +5,6 @@
 //   - Solve: minimum-cost perfect assignment (the Hungarian method, in its
 //     O(n²m) shortest-augmenting-path / Jonker-Volgenant form), used for
 //     Theorem 1 where the cost of (task, machine) is -log(1 - f[i][u]);
-//   - MaxMatching: Hopcroft-Karp maximum bipartite matching;
 //   - Bottleneck: min-max (bottleneck) assignment by binary search over the
 //     sorted cost values with a matching feasibility test, used for the
 //     Figure 9 optimal one-to-one baseline where x[i] is mapping-independent
@@ -360,73 +359,6 @@ func flatten(cost [][]float64) ([]float64, int, int, error) {
 		flat = append(flat, row...)
 	}
 	return flat, nr, nc, nil
-}
-
-// MaxMatching computes a maximum matching of the bipartite graph given by
-// adjacency lists adj[r] = admissible columns of row r, over nc columns,
-// using Hopcroft-Karp in O(E sqrt(V)). It returns matchRow[r] = column of r
-// or -1, and the matching size.
-func MaxMatching(adj [][]int, nc int) (matchRow []int, size int) {
-	nr := len(adj)
-	const nilV = -1
-	matchRow = make([]int, nr)
-	matchCol := make([]int, nc)
-	for i := range matchRow {
-		matchRow[i] = nilV
-	}
-	for i := range matchCol {
-		matchCol[i] = nilV
-	}
-	dist := make([]int, nr)
-
-	bfs := func() bool {
-		queue := make([]int, 0, nr)
-		for r := 0; r < nr; r++ {
-			if matchRow[r] == nilV {
-				dist[r] = 0
-				queue = append(queue, r)
-			} else {
-				dist[r] = math.MaxInt32
-			}
-		}
-		found := false
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
-			for _, c := range adj[r] {
-				r2 := matchCol[c]
-				if r2 == nilV {
-					found = true
-				} else if dist[r2] == math.MaxInt32 {
-					dist[r2] = dist[r] + 1
-					queue = append(queue, r2)
-				}
-			}
-		}
-		return found
-	}
-	var dfs func(r int) bool
-	dfs = func(r int) bool {
-		for _, c := range adj[r] {
-			r2 := matchCol[c]
-			if r2 == nilV || (dist[r2] == dist[r]+1 && dfs(r2)) {
-				matchRow[r] = c
-				matchCol[c] = r
-				return true
-			}
-		}
-		dist[r] = math.MaxInt32
-		return false
-	}
-
-	for bfs() {
-		for r := 0; r < nr; r++ {
-			if matchRow[r] == nilV && dfs(r) {
-				size++
-			}
-		}
-	}
-	return matchRow, size
 }
 
 func dedupSorted(v []float64) []float64 {

@@ -131,19 +131,6 @@ func TestSolveForbiddenPairs(t *testing.T) {
 	}
 }
 
-func TestMaxMatchingSimple(t *testing.T) {
-	adj := [][]int{{0, 1}, {0}, {1, 2}}
-	match, size := MaxMatching(adj, 3)
-	if size != 3 {
-		t.Fatalf("size = %d, want 3 (match %v)", size, match)
-	}
-	adj2 := [][]int{{0}, {0}}
-	_, size2 := MaxMatching(adj2, 1)
-	if size2 != 1 {
-		t.Fatalf("size = %d, want 1", size2)
-	}
-}
-
 func TestBottleneckMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 60; trial++ {

@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"microfab/internal/sparse"
 )
 
 // ErrBadVar is latched by AddRow when a coefficient names a variable index
@@ -180,17 +178,6 @@ func (m *Model) Clone() *Model {
 		c.rows[i] = append([]Coef(nil), r...)
 	}
 	return c
-}
-
-// Matrix exports the row coefficients as a CSR matrix (diagnostics, tests).
-func (m *Model) Matrix() *sparse.CSR {
-	b := sparse.NewBuilder(len(m.rows), m.numVars)
-	for r, row := range m.rows {
-		for _, c := range row {
-			b.Add(r, c.Var, c.Val)
-		}
-	}
-	return b.Build()
 }
 
 // Status reports the outcome of a solve.

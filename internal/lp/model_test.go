@@ -27,20 +27,6 @@ func TestIterationLimitStatus(t *testing.T) {
 	}
 }
 
-func TestMatrixExport(t *testing.T) {
-	m := NewModel(2)
-	m.AddRow([]Coef{{0, 3}, {1, -1}}, LE, 5)
-	m.AddRow([]Coef{{1, 2}}, GE, 1)
-	mat := m.Matrix()
-	r, c := mat.Dims()
-	if r != 2 || c != 2 {
-		t.Fatalf("dims (%d,%d)", r, c)
-	}
-	if mat.At(0, 0) != 3 || mat.At(0, 1) != -1 || mat.At(1, 1) != 2 {
-		t.Fatal("matrix entries wrong")
-	}
-}
-
 func TestNamesAndObjCoef(t *testing.T) {
 	m := NewModel(2)
 	if m.Name(0) != "x0" {

@@ -9,6 +9,7 @@ import (
 	"microfab/internal/exact"
 	"microfab/internal/gen"
 	"microfab/internal/heuristics"
+	"microfab/internal/lp"
 )
 
 func randomInstance(t *testing.T, seed int64, n, p, m int) *core.Instance {
@@ -122,30 +123,53 @@ func TestHeuristicsNeverBeatExactOptimum(t *testing.T) {
 }
 
 func TestWarmStartVectorIsModelFeasible(t *testing.T) {
-	in := randomInstance(t, 55, 5, 2, 3)
-	md, err := Build(in, core.Specialized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := heuristics.H2(in, nil, heuristics.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := md.WarmStart(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Check every row of the LP model holds at the warm-start point.
-	mat := md.LP.Matrix()
-	rows, _ := mat.Dims()
-	if rows != md.LP.NumRows() {
-		t.Fatalf("matrix rows %d != model rows %d", rows, md.LP.NumRows())
-	}
-	got, err := md.Extract(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != mp.String() {
-		t.Fatalf("extract(warmstart) = %v, want %v", got, mp)
+	for seed := int64(0); seed < 20; seed++ {
+		in := randomInstance(t, 55+seed, 5, 2, 3)
+		md, err := Build(in, core.Specialized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"H2", "H3", "H4w"} {
+			h, err := heuristics.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp, err := h.Fn(in, nil, heuristics.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := md.WarmStart(mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pinning every variable to the warm start leaves a single
+			// point; the LP is feasible only if every row holds there.
+			pinned := md.LP.Clone()
+			for v, xv := range x {
+				pinned.SetBounds(v, xv, xv)
+			}
+			sol, err := pinned.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != lp.Optimal {
+				t.Fatalf("seed %d %s: pinned warm start is %v, want optimal", seed, name, sol.Status)
+			}
+			// Moving one variable off the point must break a row.
+			pinned.SetBounds(0, x[0]/2, x[0]/2)
+			if sol, err = pinned.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != lp.Infeasible {
+				t.Fatalf("seed %d %s: perturbed warm start is %v, want infeasible", seed, name, sol.Status)
+			}
+			got, err := md.Extract(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != mp.String() {
+				t.Fatalf("seed %d %s: extract(warmstart) = %v, want %v", seed, name, got, mp)
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ func TestOptimalChainHomogeneousMatchesBruteForce(t *testing.T) {
 		if err := opt.CheckRule(in.App, core.OneToOne); err != nil {
 			t.Fatal(err)
 		}
-		bf, err := BruteForce(in)
+		bf, err := bruteForce(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestOptimalTaskOnlyMatchesBruteForce(t *testing.T) {
 		if err := opt.CheckRule(in.App, core.OneToOne); err != nil {
 			t.Fatal(err)
 		}
-		bf, err := BruteForce(in)
+		bf, err := bruteForce(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestGreedyValidOneToOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Sanity: greedy is never better than brute force.
-		bf, err := BruteForce(in)
+		bf, err := bruteForce(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,14 +164,14 @@ func TestBruteForceGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BruteForce(in); err == nil {
+	if _, err := bruteForce(in); err == nil {
 		t.Fatal("oversized brute force accepted")
 	}
 	small, err := gen.Chain(gen.Default(5, 2, 4), gen.RNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BruteForce(small); err == nil {
+	if _, err := bruteForce(small); err == nil {
 		t.Fatal("n > m brute force accepted")
 	}
 }

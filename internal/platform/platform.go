@@ -127,28 +127,6 @@ func (p *Platform) Heterogeneity() []float64 {
 	return h
 }
 
-// SlowestSequentialTime returns the worst-case period bound used to seed the
-// paper's binary-search heuristics: the time for the slowest machine to run
-// every task weighted by the given per-task product counts x (use all-ones
-// for a failure-free bound).
-func (p *Platform) SlowestSequentialTime(x []float64) float64 {
-	worst := 0.0
-	for u := 0; u < p.m; u++ {
-		var t float64
-		for i := range p.w {
-			xi := 1.0
-			if x != nil {
-				xi = x[i]
-			}
-			t += xi * p.w[i][u]
-		}
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
 // CheckTypedTimes verifies the paper's structural assumption that tasks of
 // the same type have the same execution time on every machine:
 // t(i)=t(i') => w[i][u]=w[i'][u] for all u.

@@ -87,18 +87,6 @@ func TestHeterogeneityValues(t *testing.T) {
 	}
 }
 
-func TestSlowestSequentialTime(t *testing.T) {
-	p, _ := New([][]float64{{100, 400}, {200, 100}})
-	// Machine 0: 300, machine 1: 500 with x = 1.
-	if got := p.SlowestSequentialTime(nil); got != 500 {
-		t.Fatalf("SlowestSequentialTime = %v, want 500", got)
-	}
-	// With x = (2, 1): machine 0: 400, machine 1: 900.
-	if got := p.SlowestSequentialTime([]float64{2, 1}); got != 900 {
-		t.Fatalf("weighted = %v, want 900", got)
-	}
-}
-
 func TestCheckTypedTimes(t *testing.T) {
 	a := app.MustChain([]app.TypeID{0, 1, 0})
 	ok, _ := New([][]float64{{100, 200}, {300, 400}, {100, 200}})

@@ -92,17 +92,23 @@ type Options struct {
 	// DisableFilter turns the critical-machine candidate filter off, so
 	// the descents probe every admissible move like the pre-filter engine.
 	// The filter only skips provably non-improving probes, so the refined
-	// mapping is identical either way (see TestFilterResultInvariant);
-	// the switch exists for ablations and the invariance gate itself.
+	// mapping is identical either way as long as MaxProbes does not bind
+	// (see TestFilterResultInvariant). Skipped probes cost no budget, so
+	// under a binding MaxProbes — campaign polish runs 2000 probes — the
+	// filtered descent gets further and may return a different mapping.
+	// The switch exists for ablations and the invariance gate itself.
 	DisableFilter bool
 
 	// DisableScreen turns the load-delta candidate screens off, so the
 	// descents price every admissible candidate like the pre-screen
 	// engine. The screens skip only moves whose batch-priced load lower
 	// bound proves they would be rejected, so the refined mapping is
-	// identical either way (see TestScreenResultInvariant). They
-	// complement the critical-machine filter on chain workloads where the
-	// filter is vacuous (every task feeds the critical machine).
+	// identical either way as long as MaxProbes does not bind (see
+	// TestScreenResultInvariant). As with DisableFilter, screened moves
+	// cost no budget, so under a binding MaxProbes the result may differ.
+	// The screens complement the critical-machine filter on chain
+	// workloads where the filter is vacuous (every task feeds the
+	// critical machine).
 	DisableScreen bool
 
 	// Restarts makes HillClimb a multi-start descent: after refining the
@@ -159,9 +165,6 @@ type Result struct {
 	// or annealing acceptances).
 	Accepted int
 }
-
-// Improved reports whether the search strictly improved on the seed.
-func (r *Result) Improved() bool { return r.Period < r.Start }
 
 // improveEps is the strict-improvement tolerance: a move must beat the
 // incumbent by more than a relative 1e-9 to be accepted, so float noise

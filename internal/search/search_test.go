@@ -110,7 +110,7 @@ func TestHillClimbImprovesBadSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Improved() {
+		if res.Period < res.Start {
 			improved++
 		}
 	}

@@ -305,17 +305,11 @@ func (s *Server) admit(req *SolveRequest) (parsedReq, *httpErr) {
 		return p, &httpErr{http.StatusBadRequest, "unknown-solver",
 			fmt.Sprintf("%v %q (have %v)", microfab.ErrUnknownSolver, req.Solver, microfab.Solvers())}
 	}
-	switch req.Rule {
-	case "", "specialized":
-		p.rule = core.Specialized
-	case "one-to-one", "oto":
-		p.rule = core.OneToOne
-	case "general":
-		p.rule = core.GeneralRule
-	default:
-		return p, &httpErr{http.StatusBadRequest, "bad-rule",
-			fmt.Sprintf("unknown rule %q (have specialized, one-to-one, general)", req.Rule)}
+	rule, err := core.ParseRule(req.Rule)
+	if err != nil {
+		return p, &httpErr{http.StatusBadRequest, "bad-rule", err.Error()}
 	}
+	p.rule = rule
 	if p.rule != core.Specialized && p.solver != "exact" {
 		return p, &httpErr{http.StatusBadRequest, "bad-rule",
 			fmt.Sprintf("solver %q only serves the specialized rule; use \"exact\" for %q", p.solver, req.Rule)}

@@ -24,7 +24,6 @@
 package microfab
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -75,14 +74,6 @@ type (
 	// (Assign/Unassign/Best, plus the native Swap/Relocate move kernels)
 	// used by the search loops.
 	Evaluator = core.Evaluator
-	// Pricer is the pricing-only evaluation mode for root-first LIFO
-	// searches: O(1) loads and maximum, bit-exact backtracking, none of
-	// the Evaluator's ledger machinery. The exact branch and bound runs
-	// on it.
-	Pricer = core.Pricer
-	// SplitEvaluator is the incremental engine for fractional mappings
-	// (SetShares/Best), the EvaluateSplit counterpart of Evaluator.
-	SplitEvaluator = core.SplitEvaluator
 	// Rule selects the mapping constraint.
 	Rule = core.Rule
 	// GenParams configures random instance generation.
@@ -353,31 +344,9 @@ func Evaluate(in *Instance, m *Mapping) (*Evaluation, error) { return core.Evalu
 // re-evaluating from scratch.
 func NewEvaluator(in *Instance) *Evaluator { return core.NewEvaluator(in) }
 
-// NewEvaluatorFrom returns an incremental evaluation engine preloaded with
-// the (possibly partial) mapping.
-func NewEvaluatorFrom(in *Instance, m *Mapping) (*Evaluator, error) {
-	return core.NewEvaluatorFrom(in, m)
-}
-
-// NewPricer returns the pricing-only evaluation mode over the instance:
-// per-machine loads and the running maximum maintained in O(1) per
-// Assign/Unassign with bit-exact backtracking, for root-first LIFO search
-// loops (the exact branch and bound runs on one). Use NewEvaluator when
-// tasks are (un)assigned in arbitrary order or moved in place — the
-// Pricer trades that generality for the leaner hot loop.
-func NewPricer(in *Instance) *Pricer { return core.NewPricer(in) }
-
 // EvaluateSplit evaluates a fractional mapping.
 func EvaluateSplit(in *Instance, s *SplitMapping) (*Evaluation, error) {
 	return core.EvaluateSplit(in, s)
-}
-
-// NewSplitEvaluator returns an incremental evaluation engine loaded with
-// the complete fractional mapping: SetShares reprices a share change in
-// O(changed prefix) instead of EvaluateSplit's full O(n·m) sweep. The
-// water-filling refinement of H4wSplit runs on it.
-func NewSplitEvaluator(in *Instance, s *SplitMapping) (*SplitEvaluator, error) {
-	return core.NewSplitEvaluator(in, s)
 }
 
 // PlanInputs returns the expected raw products each source must receive so
@@ -409,12 +378,6 @@ func MeasureThroughput(in *Instance, m *Mapping, outputs int64, warmupFrac float
 // wall-clock solver budget binds on the MIP figures (see
 // internal/experiments for the caveat).
 func Figure(num int, cfg ExpConfig) (*ExpResult, error) { return experiments.Figure(num, cfg) }
-
-// FigureCtx is Figure with cancellation: the campaign stops at the next
-// draw boundary once ctx is done.
-func FigureCtx(ctx context.Context, num int, cfg ExpConfig) (*ExpResult, error) {
-	return experiments.FigureCtx(ctx, num, cfg)
-}
 
 // RenderFigure formats a regenerated figure as an aligned text table.
 func RenderFigure(r *ExpResult) string { return experiments.Render(r) }
