@@ -36,10 +36,13 @@ func TestOrderPreservesOptimum(t *testing.T) {
 	}
 }
 
-// TestOrderCutsCorpusNodes pins the aggregate payoff: across the
-// differential corpus the ordered search must explore clearly fewer nodes
-// than the legacy ascending-machine order (observed ~1.5x at the time of
-// writing; the gate is a conservative 1.2x).
+// TestOrderCutsCorpusNodes pins the aggregate payoff on the small
+// differential corpus only: there the ordered search must explore clearly
+// fewer nodes than the legacy ascending-machine order (observed ~1.5x at
+// the time of writing; the gate is a conservative 1.2x). It does not hold
+// on harder proofs: on three of the four hard cases in perfbench/corpus
+// the ordered search takes 2-4x the nodes of ascending order. The order
+// stays for budgeted incumbents (TestOrderImprovesBudgetedIncumbents).
 func TestOrderCutsCorpusNodes(t *testing.T) {
 	var on, off int64
 	for _, c := range differentialCorpus(t) {
@@ -58,6 +61,41 @@ func TestOrderCutsCorpusNodes(t *testing.T) {
 		t.Fatalf("ordered search explored %d corpus nodes vs %d legacy — less than the 1.2x gate", on, off)
 	}
 	t.Logf("corpus nodes: ordered %d, legacy %d (%.2fx)", on, off, float64(off)/float64(on))
+}
+
+// TestOrderImprovesBudgetedIncumbents pins the reason the best-first order
+// stays although it costs nodes on some full proofs: serve and the facade
+// run node-budgeted, warm-started solves, and there the ordered search
+// reaches clearly better incumbents. On these chain draws the unordered
+// search's incumbents are worse on every draw (mean period over
+// LowerBoundPeriod ~2.7 ordered vs ~3.5 unordered at 10k nodes); the gate
+// asks for a conservative 10% on the summed periods.
+func TestOrderImprovesBudgetedIncumbents(t *testing.T) {
+	pr := gen.Default(18, 4, 9)
+	pr.FMax = 0.1
+	var on, off float64
+	for seed := int64(1); seed <= 10; seed++ {
+		in, err := gen.Chain(pr, gen.RNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Options{Rule: core.Specialized, WarmStart: true, Workers: 1, MaxNodes: 10_000}
+		a, err := Solve(in, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.DisableOrder = true
+		b, err := Solve(in, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		on += a.Period
+		off += b.Period
+	}
+	if on > 0.9*off {
+		t.Fatalf("ordered incumbents sum to %v vs %v unordered — above the 0.9x gate", on, off)
+	}
+	t.Logf("summed budgeted periods: ordered %v, unordered %v (%.2fx)", on, off, on/off)
 }
 
 // TestGreedyDiveSeedsIncumbent: a budget-starved cold search must already

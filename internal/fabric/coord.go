@@ -68,8 +68,10 @@ type job struct {
 	plan experiments.Plan
 	out  [][]experiments.DrawResult
 
-	// Exact state: the frontier and its subtree reports.
+	// Exact state: instance, rule, frontier and subtree reports.
 	ex      *ExactSpec
+	in      *core.Instance
+	rule    core.Rule
 	front   *exact.FrontierInfo
 	reports []*exact.SubtreeOutcome
 
@@ -260,6 +262,10 @@ func (c *Coordinator) complete(req *CompleteRequest) (*CompleteResponse, error) 
 				req.Chunk, req.Subtree.WarmPeriod, j.front.WarmPeriod))
 			return &CompleteResponse{OK: true}, nil
 		}
+		if err := checkSubtree(j.in, j.rule, req.Subtree); err != nil {
+			c.failLocked(j, fmt.Sprintf("chunk %d: invalid subtree report: %v", req.Chunk, err))
+			return &CompleteResponse{OK: true}, nil
+		}
 		j.reports[cs.chunk.XI] = req.Subtree
 		if req.Subtree.Found {
 			c.improveLocked(j, req.Subtree.Period, now)
@@ -425,7 +431,7 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 		chunks[i] = Chunk{XI: i, Prefix: prefix, WarmPeriod: front.WarmPeriod}
 	}
 	sp := spec
-	j := &job{kind: KindExact, ex: &sp, front: front, reports: make([]*exact.SubtreeOutcome, len(front.Prefixes))}
+	j := &job{kind: KindExact, ex: &sp, in: in, rule: rule, front: front, reports: make([]*exact.SubtreeOutcome, len(front.Prefixes))}
 	c.mu.Lock()
 	c.addJobLocked(j, chunks)
 	c.mu.Unlock()
@@ -474,6 +480,32 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 		Nodes:    nodes,
 		Subtrees: len(front.Prefixes),
 	}, nil
+}
+
+// checkSubtree confirms a found report against the coordinator's own
+// instance before it is merged, so a stale or forged report can neither
+// panic the merge nor come back as a proof.
+func checkSubtree(in *core.Instance, rule core.Rule, o *exact.SubtreeOutcome) error {
+	if !o.Found {
+		return nil
+	}
+	if len(o.Assign) != in.N() {
+		return fmt.Errorf("%d tasks assigned, want %d", len(o.Assign), in.N())
+	}
+	mp := core.NewMapping(in.N())
+	for i, u := range o.Assign {
+		if u < 0 || u >= in.M() {
+			return fmt.Errorf("task %d on machine %d, want [0,%d)", i, u, in.M())
+		}
+		mp.Assign(app.TaskID(i), platform.MachineID(u))
+	}
+	if err := mp.CheckRule(in.App, rule); err != nil {
+		return err
+	}
+	if p := core.Period(in, mp); !(math.Abs(o.Period-p) <= 1e-9*p) {
+		return fmt.Errorf("reported period %v, the assignment prices at %v", o.Period, p)
+	}
+	return nil
 }
 
 // repriced normalises a winning assignment through core.Period, exactly

@@ -421,3 +421,75 @@ func TestRemovedAblationFieldsIgnored(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidSubtreeReportFailsJob: the coordinator checks every found
+// subtree report against its own instance before merging it. A fake
+// worker reports an assignment with one task too many, one with a machine
+// outside the platform, one that breaks the Specialized rule at a claimed
+// period of 1, and a rule-respecting one at half its real period. Each
+// fails the job with a typed error naming the chunk: no handler panics
+// and no forged report comes back as a proof.
+func TestInvalidSubtreeReportFailsJob(t *testing.T) {
+	in, err := gen.Chain(gen.Default(12, 3, 5), gen.RNG(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := in.N()
+	valid, err := exact.Solve(in, exact.Options{Rule: core.Specialized, WarmStart: true, MaxNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	validAssign := make([]int, n)
+	for i := range validAssign {
+		validAssign[i] = int(valid.Mapping.Machine(app.TaskID(i)))
+	}
+	badMachine := make([]int, n)
+	badMachine[0] = 99
+	file := instance.FromInstance(in, "forged reports")
+
+	for _, c := range []struct {
+		name   string
+		assign []int
+		period float64
+	}{
+		{"too many tasks", make([]int, n+1), 1},
+		{"machine out of range", badMachine, 1},
+		{"rule broken", make([]int, n), 1},
+		{"period forged", validAssign, valid.Period / 2},
+	} {
+		_, srv := testCoord(t, CoordConfig{})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := SubmitExact(ctx, srv.Client(), srv.URL, ExactSpec{Instance: *file, WarmStart: true, Subtrees: 16})
+			errCh <- err
+		}()
+		fake := testWorker(srv.URL, "forger")
+		var ck *Chunk
+		for ck == nil {
+			if ck, err = fake.lease(ctx); err != nil {
+				t.Fatalf("%s: lease: %v", c.name, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var resp CompleteResponse
+		if err := fake.postJSON(ctx, "/complete", CompleteRequest{
+			Worker: "forger", Job: ck.Job, Chunk: ck.ID,
+			Subtree: &exact.SubtreeOutcome{Found: true, Period: c.period, Assign: c.assign, WarmPeriod: ck.WarmPeriod},
+		}, &resp); err != nil {
+			t.Fatalf("%s: complete: %v", c.name, err)
+		}
+		// Honest workers finish whatever chunks are left.
+		stop := startWorkers(t, srv.URL, 2)
+		err := <-errCh
+		stop()
+		cancel()
+		ae, ok := err.(*apiError)
+		if !ok || ae.Code != "exact-failed" {
+			t.Fatalf("%s: got %v, want an exact-failed error", c.name, err)
+		}
+		if want := fmt.Sprintf("chunk %d: invalid subtree report: ", ck.ID); !strings.Contains(ae.Detail, want) {
+			t.Fatalf("%s: error %q does not contain %q", c.name, ae.Detail, want)
+		}
+	}
+}

@@ -276,8 +276,6 @@ type Options struct {
 	// MaxNodes / TimeLimit bound the branch and bound (0 = defaults).
 	MaxNodes  int
 	TimeLimit time.Duration
-	// RelGap terminates early at the given relative optimality gap.
-	RelGap float64
 }
 
 // Result is the outcome of an exact solve.
@@ -304,7 +302,6 @@ func Solve(in *core.Instance, opts Options) (*Result, error) {
 	mo := mip.Options{
 		MaxNodes:  opts.MaxNodes,
 		TimeLimit: opts.TimeLimit,
-		RelGap:    opts.RelGap,
 	}
 	if opts.WarmStart != nil {
 		warm, err := md.WarmStart(opts.WarmStart)

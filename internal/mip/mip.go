@@ -18,6 +18,10 @@ import (
 // count as integral.
 const intTol = 1e-6
 
+// diveEvery is the node period of the rounding-dive heuristic: it runs at
+// nodes 1, 1+diveEvery, 1+2·diveEvery, ...
+const diveEvery = 50
+
 // Problem couples an LP model with integrality requirements.
 type Problem struct {
 	Model *lp.Model
@@ -36,12 +40,6 @@ type Options struct {
 	// point (its objective is recomputed; it is NOT verified against the
 	// rows — pass genuinely feasible points only).
 	Incumbent []float64
-	// RelGap terminates when (incumbent - bound) <= RelGap·|incumbent|
-	// (0 = prove optimality exactly up to tolerances).
-	RelGap float64
-	// DiveEvery runs the rounding-dive heuristic at every k-th node
-	// (0 = 50; negative disables).
-	DiveEvery int
 }
 
 func (o Options) maxNodes() int {
@@ -51,21 +49,12 @@ func (o Options) maxNodes() int {
 	return 200000
 }
 
-func (o Options) diveEvery() int {
-	if o.DiveEvery < 0 {
-		return 0
-	}
-	if o.DiveEvery == 0 {
-		return 50
-	}
-	return o.DiveEvery
-}
-
 // Status reports how the search ended.
 type Status int
 
 const (
-	// Optimal: incumbent proven optimal (within tolerances/RelGap).
+	// Optimal: the search ran to completion, so the incumbent is proven
+	// optimal up to tolerances.
 	Optimal Status = iota
 	// Feasible: an incumbent exists but the search stopped early
 	// (node or time budget).
@@ -247,7 +236,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			res.Objective = sol.Objective
 			continue
 		}
-		if k := opts.diveEvery(); k > 0 && res.Nodes%k == 1 {
+		if res.Nodes%diveEvery == 1 {
 			if x, obj, ok := dive(model, ints, sol.X); ok && obj < res.Objective-1e-9 {
 				res.X = x
 				res.Objective = obj
@@ -274,7 +263,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	}
 	hasIncumbent := !math.IsInf(res.Objective, 1)
 	switch {
-	case hasIncumbent && (!stoppedEarly || withinGap(res, opts.RelGap)):
+	case hasIncumbent && !stoppedEarly:
 		res.Status = Optimal
 	case hasIncumbent:
 		res.Status = Feasible
@@ -284,13 +273,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		res.Status = Infeasible
 	}
 	return res, nil
-}
-
-func withinGap(r *Result, relGap float64) bool {
-	if relGap <= 0 {
-		return false
-	}
-	return r.Gap() <= relGap
 }
 
 // mostFractional returns the index (into ints) of the integer variable

@@ -199,7 +199,7 @@ func TestNodeBudgetReportsFeasible(t *testing.T) {
 		ints[j] = j
 	}
 	m.AddRow(row, lp.LE, 10)
-	res, err := Solve(&Problem{Model: m, Integers: ints}, Options{MaxNodes: 1, Incumbent: warm, DiveEvery: -1})
+	res, err := Solve(&Problem{Model: m, Integers: ints}, Options{MaxNodes: 1, Incumbent: warm})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestTaskListsMaintained(t *testing.T) {
 	res := &Result{}
 	for rounds := 0; rounds < 4; rounds++ {
 		var improved bool
-		cur, improved = e.descendSteepest(cur, AllMoves, res)
+		cur, improved = e.descendSteepest(cur, res)
 		checkLists("steepest round")
 		if !improved {
 			break
@@ -119,7 +119,7 @@ func TestTaskListsMaintained(t *testing.T) {
 	}
 	rng := gen.RNG(99)
 	for it := 0; it < 300; it++ {
-		kind := []Moves{Relocate, Swap, Group}[rng.Intn(3)]
+		kind := []moveKind{relocateMove, swapMove, groupMove}[rng.Intn(3)]
 		if _, applied, undo := e.proposeRandom(rng, kind, in.N(), in.M()); applied {
 			if rng.Intn(2) == 0 {
 				undo()
@@ -252,5 +252,5 @@ func calibratedT0(t *testing.T, in *core.Instance, seed *core.Mapping) float64 {
 		t.Fatal(err)
 	}
 	cur := e.ev.Period()
-	return calibrateT0(e, gen.RNG(1), []Moves{Relocate, Relocate, Swap, Group}, in.N(), in.M(), cur)
+	return calibrateT0(e, gen.RNG(1), in.N(), in.M(), cur)
 }

@@ -39,34 +39,28 @@ import (
 	"microfab/internal/platform"
 )
 
-// Moves selects which neighborhood moves a strategy explores.
-type Moves uint8
+// moveKind names one of the moves listed in the package doc.
+type moveKind uint8
 
 const (
-	// Relocate moves one task to another admissible machine.
-	Relocate Moves = 1 << iota
-	// Swap exchanges the machines of two tasks.
-	Swap
-	// Group moves all tasks of one machine onto another.
-	Group
-
-	// AllMoves enables the full neighborhood.
-	AllMoves = Relocate | Swap | Group
+	relocateMove moveKind = iota
+	swapMove
+	groupMove
 )
 
-// Options tunes a search run. The zero value means: specialized rule
-// (core's zero Rule is OneToOne, so Options fills Specialized via
-// DefaultRule unless a caller sets Rule explicitly — see the Rule field),
-// full move set, steepest descent, and the default budgets.
+// annealKinds are Anneal's proposal kinds, relocate weighted double (it is
+// the workhorse move).
+var annealKinds = []moveKind{relocateMove, relocateMove, swapMove, groupMove}
+
+// Options tunes a search run. The zero value means: one-to-one rule
+// (core's zero Rule; use DefaultOptions for Specialized), steepest
+// descent over the full move set, and the default budgets.
 type Options struct {
 	// Rule is the mapping rule the moves must respect. The seed mapping
 	// must satisfy it. Callers almost always want core.Specialized (the
 	// paper's realistic rule); use DefaultOptions to get it filled in,
 	// since core's zero Rule is OneToOne.
 	Rule core.Rule
-
-	// Moves is the neighborhood (0 = AllMoves).
-	Moves Moves
 
 	// FirstImprovement makes HillClimb take the first strictly improving
 	// move of each scan instead of the steepest.
@@ -80,14 +74,6 @@ type Options struct {
 	// Iters is the number of annealing proposals (0 = 60·n). Ignored by
 	// HillClimb.
 	Iters int
-
-	// T0 is the initial annealing temperature in ms of period
-	// (0 = 5% of the seed period).
-	T0 float64
-
-	// Cooling is the per-proposal geometric cooling factor in (0,1)
-	// (0 = set so the temperature decays to T0/1000 over Iters).
-	Cooling float64
 
 	// DisableFilter turns the critical-machine candidate filter off, so
 	// the descents probe every admissible move like the pre-filter engine.
@@ -125,16 +111,9 @@ type Options struct {
 }
 
 // DefaultOptions returns the options every facade entry point starts
-// from: specialized rule, full move set, steepest descent.
+// from: specialized rule, steepest descent.
 func DefaultOptions() Options {
-	return Options{Rule: core.Specialized, Moves: AllMoves}
-}
-
-func (o Options) moves() Moves {
-	if o.Moves == 0 {
-		return AllMoves
-	}
-	return o.Moves
+	return Options{Rule: core.Specialized}
 }
 
 func (o Options) maxProbes(n, m int) int {
@@ -628,14 +607,13 @@ func hillClimbOnce(in *core.Instance, seed *core.Mapping, opt Options) (*Result,
 	}
 	cur := e.ev.Period()
 	res := &Result{Start: cur}
-	moves := opt.moves()
 	improved := true
 	for improved && e.budgetLeft() {
 		improved = false
 		if opt.FirstImprovement {
-			cur, improved = e.descendFirst(cur, moves, res)
+			cur, improved = e.descendFirst(cur, res)
 		} else {
-			cur, improved = e.descendSteepest(cur, moves, res)
+			cur, improved = e.descendSteepest(cur, res)
 		}
 	}
 	res.Mapping = e.ev.Mapping()
@@ -647,74 +625,68 @@ func hillClimbOnce(in *core.Instance, seed *core.Mapping, opt Options) (*Result,
 // descendFirst performs one first-improvement sweep: every improving move
 // found is applied immediately. Returns the new period and whether any
 // move was applied.
-func (e *engine) descendFirst(cur float64, moves Moves, res *Result) (float64, bool) {
+func (e *engine) descendFirst(cur float64, res *Result) (float64, bool) {
 	improved := false
 	n, m := e.in.N(), e.in.M()
 	e.refreshMarks()
-	if moves&Relocate != 0 {
-		for i := 0; i < n && e.budgetLeft(); i++ {
-			id := app.TaskID(i)
-			if !e.candidate(id) {
-				continue // provably cannot lower the critical load
-			}
-			var scores []float64
-			if e.screen {
-				scores = e.relocScores(id)
-			}
-			for v := 0; v < m && e.budgetLeft(); v++ {
-				mv := platform.MachineID(v)
-				if !e.admissible(id, mv) {
-					continue
-				}
-				if scores != nil && scores[v] >= screenMargin(cur) {
-					continue // destination load alone already rejects the move
-				}
-				if p, ok := e.probeRelocate(id, mv, cur); ok {
-					cur, improved = p, true
-					res.Accepted++
-					e.refreshMarks()
-					if e.screen {
-						scores = e.relocScores(id) // id moved: rescore
-					}
-				}
-			}
+	for i := 0; i < n && e.budgetLeft(); i++ {
+		id := app.TaskID(i)
+		if !e.candidate(id) {
+			continue // provably cannot lower the critical load
 		}
-	}
-	if moves&Swap != 0 {
-		for i := 0; i < n && e.budgetLeft(); i++ {
-			for j := i + 1; j < n && e.budgetLeft(); j++ {
-				a, b := app.TaskID(i), app.TaskID(j)
-				if !e.candidate(a) && !e.candidate(b) {
-					continue
-				}
-				if !e.swapAdmissible(a, b) {
-					continue
-				}
-				if e.swapRejected(a, b, screenMargin(cur)) {
-					continue
-				}
-				if p, ok := e.probeSwap(a, b, cur); ok {
-					cur, improved = p, true
-					res.Accepted++
-					e.refreshMarks()
-				}
-			}
+		var scores []float64
+		if e.screen {
+			scores = e.relocScores(id)
 		}
-	}
-	if moves&Group != 0 {
-		for u := 0; u < m && e.budgetLeft(); u++ {
-			if !e.candidateGroup(platform.MachineID(u)) {
+		for v := 0; v < m && e.budgetLeft(); v++ {
+			mv := platform.MachineID(v)
+			if !e.admissible(id, mv) {
 				continue
 			}
-			for v := 0; v < m && e.budgetLeft(); v++ {
-				if !e.groupAdmissible(platform.MachineID(u), platform.MachineID(v)) {
-					continue
+			if scores != nil && scores[v] >= screenMargin(cur) {
+				continue // destination load alone already rejects the move
+			}
+			if p, ok := e.probeRelocate(id, mv, cur); ok {
+				cur, improved = p, true
+				res.Accepted++
+				e.refreshMarks()
+				if e.screen {
+					scores = e.relocScores(id) // id moved: rescore
 				}
-				if p, ok := e.probeGroup(platform.MachineID(u), platform.MachineID(v), cur); ok {
-					cur, improved = p, true
-					res.Accepted++
-					e.refreshMarks()
-				}
+			}
+		}
+	}
+	for i := 0; i < n && e.budgetLeft(); i++ {
+		for j := i + 1; j < n && e.budgetLeft(); j++ {
+			a, b := app.TaskID(i), app.TaskID(j)
+			if !e.candidate(a) && !e.candidate(b) {
+				continue
+			}
+			if !e.swapAdmissible(a, b) {
+				continue
+			}
+			if e.swapRejected(a, b, screenMargin(cur)) {
+				continue
+			}
+			if p, ok := e.probeSwap(a, b, cur); ok {
+				cur, improved = p, true
+				res.Accepted++
+				e.refreshMarks()
+			}
+		}
+	}
+	for u := 0; u < m && e.budgetLeft(); u++ {
+		if !e.candidateGroup(platform.MachineID(u)) {
+			continue
+		}
+		for v := 0; v < m && e.budgetLeft(); v++ {
+			if !e.groupAdmissible(platform.MachineID(u), platform.MachineID(v)) {
+				continue
+			}
+			if p, ok := e.probeGroup(platform.MachineID(u), platform.MachineID(v), cur); ok {
+				cur, improved = p, true
+				res.Accepted++
+				e.refreshMarks()
 			}
 		}
 	}
@@ -731,7 +703,7 @@ type steepestMove struct {
 // descendSteepest scans the whole neighborhood, remembers the single move
 // with the lowest resulting period, and applies it. Returns the new
 // period and whether a move was applied.
-func (e *engine) descendSteepest(cur float64, moves Moves, res *Result) (float64, bool) {
+func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 	best := steepestMove{}
 	bestP := cur
 	n, m := e.in.N(), e.in.M()
@@ -742,68 +714,62 @@ func (e *engine) descendSteepest(cur float64, moves Moves, res *Result) (float64
 			best = mv
 		}
 	}
-	if moves&Relocate != 0 {
-		for i := 0; i < n && e.budgetLeft(); i++ {
-			id := app.TaskID(i)
-			if !e.candidate(id) {
-				continue // provably cannot lower the critical load
-			}
-			var scores []float64
-			if e.screen {
-				scores = e.relocScores(id) // nothing is kept mid-scan, so one row serves all targets
-			}
-			u := e.ev.Machine(id)
-			for v := 0; v < m && e.budgetLeft(); v++ {
-				mv := platform.MachineID(v)
-				if !e.admissible(id, mv) {
-					continue
-				}
-				if scores != nil && scores[v] >= screenMargin(bestP) {
-					continue // destination load alone already rejects the move
-				}
-				e.probes++
-				e.relocate(id, mv)
-				consider(e.ev.Period(), steepestMove{kind: 1, i: id, v: mv})
-				e.relocate(id, u)
-			}
+	for i := 0; i < n && e.budgetLeft(); i++ {
+		id := app.TaskID(i)
+		if !e.candidate(id) {
+			continue // provably cannot lower the critical load
 		}
-	}
-	if moves&Swap != 0 {
-		for i := 0; i < n && e.budgetLeft(); i++ {
-			for j := i + 1; j < n && e.budgetLeft(); j++ {
-				a, b := app.TaskID(i), app.TaskID(j)
-				if !e.candidate(a) && !e.candidate(b) {
-					continue
-				}
-				if !e.swapAdmissible(a, b) {
-					continue
-				}
-				if e.swapRejected(a, b, screenMargin(bestP)) {
-					continue
-				}
-				e.probes++
-				e.swap(a, b)
-				consider(e.ev.Period(), steepestMove{kind: 2, i: a, j: b})
-				e.swap(a, b)
-			}
+		var scores []float64
+		if e.screen {
+			scores = e.relocScores(id) // nothing is kept mid-scan, so one row serves all targets
 		}
-	}
-	if moves&Group != 0 {
-		for u := 0; u < m && e.budgetLeft(); u++ {
-			if !e.candidateGroup(platform.MachineID(u)) {
+		u := e.ev.Machine(id)
+		for v := 0; v < m && e.budgetLeft(); v++ {
+			mv := platform.MachineID(v)
+			if !e.admissible(id, mv) {
 				continue
 			}
-			for v := 0; v < m && e.budgetLeft(); v++ {
-				mu, mv := platform.MachineID(u), platform.MachineID(v)
-				if !e.groupAdmissible(mu, mv) {
-					continue
-				}
-				e.probes++
-				moved := e.moveGroup(mu, mv)
-				consider(e.ev.Period(), steepestMove{kind: 3, u: mu, v: mv})
-				for _, i := range moved {
-					e.relocate(i, mu)
-				}
+			if scores != nil && scores[v] >= screenMargin(bestP) {
+				continue // destination load alone already rejects the move
+			}
+			e.probes++
+			e.relocate(id, mv)
+			consider(e.ev.Period(), steepestMove{kind: 1, i: id, v: mv})
+			e.relocate(id, u)
+		}
+	}
+	for i := 0; i < n && e.budgetLeft(); i++ {
+		for j := i + 1; j < n && e.budgetLeft(); j++ {
+			a, b := app.TaskID(i), app.TaskID(j)
+			if !e.candidate(a) && !e.candidate(b) {
+				continue
+			}
+			if !e.swapAdmissible(a, b) {
+				continue
+			}
+			if e.swapRejected(a, b, screenMargin(bestP)) {
+				continue
+			}
+			e.probes++
+			e.swap(a, b)
+			consider(e.ev.Period(), steepestMove{kind: 2, i: a, j: b})
+			e.swap(a, b)
+		}
+	}
+	for u := 0; u < m && e.budgetLeft(); u++ {
+		if !e.candidateGroup(platform.MachineID(u)) {
+			continue
+		}
+		for v := 0; v < m && e.budgetLeft(); v++ {
+			mu, mv := platform.MachineID(u), platform.MachineID(v)
+			if !e.groupAdmissible(mu, mv) {
+				continue
+			}
+			e.probes++
+			moved := e.moveGroup(mu, mv)
+			consider(e.ev.Period(), steepestMove{kind: 3, u: mu, v: mv})
+			for _, i := range moved {
+				e.relocate(i, mu)
 			}
 		}
 	}
@@ -829,10 +795,11 @@ func (e *engine) descendSteepest(cur float64, moves Moves, res *Result) (float64
 // RNG stream; campaign callers derive the stream per draw with
 // gen.DeriveRNG so concurrent polishing stays reproducible.
 //
-// With T0 unset the initial temperature is auto-tuned from the seed's own
-// move-delta scale by acceptance-ratio targeting (see calibrateT0), so the
-// same options work across figures whose period scales differ by orders of
-// magnitude.
+// The initial temperature is auto-tuned from the seed's own move-delta
+// scale by acceptance-ratio targeting (see calibrateT0), so the same
+// options work across figures whose period scales differ by orders of
+// magnitude; it then decays geometrically to a thousandth of that over
+// the run.
 func Anneal(in *core.Instance, seed *core.Mapping, rng *rand.Rand, opt Options) (*Result, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("search: Anneal needs an RNG (use gen.RNG or gen.DeriveRNG)")
@@ -849,33 +816,11 @@ func Anneal(in *core.Instance, seed *core.Mapping, rng *rand.Rand, opt Options) 
 	iters := opt.iters(in.N())
 
 	n, m := in.N(), in.M()
-	moves := opt.moves()
-	// Proposal kinds, relocate weighted double (it is the workhorse move).
-	var kinds []Moves
-	if moves&Relocate != 0 {
-		kinds = append(kinds, Relocate, Relocate)
-	}
-	if moves&Swap != 0 {
-		kinds = append(kinds, Swap)
-	}
-	if moves&Group != 0 {
-		kinds = append(kinds, Group)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("search: no known move kind in Moves mask %#x", opt.Moves)
-	}
-
-	temp := opt.T0
-	if temp <= 0 {
-		temp = calibrateT0(e, rng, kinds, n, m, cur)
-	}
-	cool := opt.Cooling
-	if cool <= 0 || cool >= 1 {
-		// Decay to T0/1000 over the run: cool^iters = 1e-3.
-		cool = math.Exp(math.Log(1e-3) / float64(iters))
-	}
+	temp := calibrateT0(e, rng, n, m, cur)
+	// Decay to T0/1000 over the run: cool^iters = 1e-3.
+	cool := math.Exp(math.Log(1e-3) / float64(iters))
 	for it := 0; it < iters && e.budgetLeft(); it++ {
-		p, applied, undo := e.proposeRandom(rng, kinds[rng.Intn(len(kinds))], n, m)
+		p, applied, undo := e.proposeRandom(rng, annealKinds[rng.Intn(len(annealKinds))], n, m)
 		if !applied {
 			temp *= cool
 			continue
@@ -913,7 +858,7 @@ func Anneal(in *core.Instance, seed *core.Mapping, rng *rand.Rand, opt Options) 
 // per stream; the sample is calibration, not search, and is not counted
 // against the probe budget. With no uphill neighbor in the sample (a
 // plateau) it falls back to the legacy 5% of the seed period.
-func calibrateT0(e *engine, rng *rand.Rand, kinds []Moves, n, m int, cur float64) float64 {
+func calibrateT0(e *engine, rng *rand.Rand, n, m int, cur float64) float64 {
 	const (
 		samples = 48
 		chi0    = 0.8
@@ -921,7 +866,7 @@ func calibrateT0(e *engine, rng *rand.Rand, kinds []Moves, n, m int, cur float64
 	var sum float64
 	ups := 0
 	for s := 0; s < samples; s++ {
-		p, applied, undo := e.proposeRandom(rng, kinds[rng.Intn(len(kinds))], n, m)
+		p, applied, undo := e.proposeRandom(rng, annealKinds[rng.Intn(len(annealKinds))], n, m)
 		if !applied {
 			continue
 		}
@@ -941,16 +886,16 @@ func calibrateT0(e *engine, rng *rand.Rand, kinds []Moves, n, m int, cur float64
 // admissible, and returns the resulting period plus an undo closure.
 // applied is false when the draw was inadmissible (counts as a cooled
 // iteration).
-func (e *engine) proposeRandom(rng *rand.Rand, kind Moves, n, m int) (p float64, applied bool, undo func()) {
+func (e *engine) proposeRandom(rng *rand.Rand, kind moveKind, n, m int) (p float64, applied bool, undo func()) {
 	switch kind {
-	case Swap:
+	case swapMove:
 		i, j := app.TaskID(rng.Intn(n)), app.TaskID(rng.Intn(n))
 		if !e.swapAdmissible(i, j) {
 			return 0, false, nil
 		}
 		e.swap(i, j)
 		return e.ev.Period(), true, func() { e.swap(i, j) }
-	case Group:
+	case groupMove:
 		u, v := platform.MachineID(rng.Intn(m)), platform.MachineID(rng.Intn(m))
 		if !e.groupAdmissible(u, v) {
 			return 0, false, nil

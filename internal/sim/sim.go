@@ -41,9 +41,6 @@ type Options struct {
 	// Inputs[k] is the raw-product batch for source k (order of
 	// app.Sources()). Use PlanBatches to size them for a target output.
 	Inputs []int64
-	// TargetOutputs stops the run once this many products left the
-	// system (0 = run until everything drains).
-	TargetOutputs int64
 	// Policy defaults to DownstreamFirst.
 	Policy Policy
 	// Seed drives all Bernoulli loss draws.
@@ -80,7 +77,7 @@ type Stats struct {
 	// Events is the number of simulated events.
 	Events int64
 	// Drained reports whether the run ended because no work was left
-	// (false when TargetOutputs or MaxEvents stopped it).
+	// (false when the MaxEvents guard stopped it).
 	Drained bool
 }
 
@@ -218,10 +215,6 @@ func Run(in *core.Instance, mp *core.Mapping, opt Options) (*Stats, error) {
 		now = e.t
 		s.stats.Events++
 		s.complete(e, now)
-		if opt.TargetOutputs > 0 && s.stats.Outputs >= opt.TargetOutputs {
-			s.finish(now)
-			return &s.stats, nil
-		}
 	}
 	s.stats.Drained = true
 	s.finish(now)

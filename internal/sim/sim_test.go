@@ -142,20 +142,6 @@ func TestJoinConsumesBothBranches(t *testing.T) {
 	}
 }
 
-func TestTargetOutputsStopsEarly(t *testing.T) {
-	in := failFree(t, 2, 2, 100)
-	mp := core.NewMapping(2)
-	mp.Assign(0, 0)
-	mp.Assign(1, 1)
-	st, err := Run(in, mp, Options{Inputs: []int64{100}, TargetOutputs: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Outputs != 5 || st.Drained {
-		t.Fatalf("outputs=%d drained=%v", st.Outputs, st.Drained)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	in := failFree(t, 2, 2, 100)
 	mp := core.NewMapping(2)
