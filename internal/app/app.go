@@ -12,6 +12,7 @@ package app
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // TaskID identifies a task within an application. IDs are dense indices in
@@ -50,6 +51,8 @@ type Application struct {
 	numTypes int
 	// topo holds the task IDs in a topological order (predecessors first).
 	topo []TaskID
+	// depth[i] is the number of edges from task i down to the root.
+	depth []int32
 }
 
 // Dep is one precedence edge: From must complete on a product before To
@@ -122,25 +125,27 @@ func New(tasks []Task, deps []Dep) (*Application, error) {
 	return a, nil
 }
 
-// buildTopo fills a.topo or reports a cycle. With at most one successor per
-// task and a single root, acyclicity is equivalent to every task reaching the
-// root, which the reverse BFS below checks.
+// buildTopo fills a.topo and a.depth or reports a cycle. With at most one
+// successor per task and a single root, acyclicity is equivalent to every
+// task reaching the root, which the reverse BFS below checks. order doubles
+// as the BFS queue and depth (-1 until reached) as the visited mark.
 func (a *Application) buildTopo() error {
 	n := len(a.tasks)
-	order := make([]TaskID, 0, n)
-	mark := make([]bool, n)
-	queue := []TaskID{a.root}
-	mark[a.root] = true
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		order = append(order, t)
+	a.depth = make([]int32, n)
+	for i := range a.depth {
+		a.depth[i] = -1
+	}
+	a.depth[a.root] = 0
+	order := make([]TaskID, 1, n)
+	order[0] = a.root
+	for k := 0; k < len(order); k++ {
+		t := order[k]
 		for _, p := range a.preds[t] {
-			if mark[p] {
+			if a.depth[p] >= 0 {
 				return fmt.Errorf("app: task %d reached twice; graph is not an in-tree", p)
 			}
-			mark[p] = true
-			queue = append(queue, p)
+			a.depth[p] = a.depth[t] + 1
+			order = append(order, p)
 		}
 	}
 	if len(order) != n {
@@ -148,10 +153,8 @@ func (a *Application) buildTopo() error {
 	}
 	// order is root-first (reverse topological); reverse it so that
 	// predecessors come first.
-	a.topo = make([]TaskID, n)
-	for i, t := range order {
-		a.topo[n-1-i] = t
-	}
+	slices.Reverse(order)
+	a.topo = order
 	return nil
 }
 
@@ -173,6 +176,11 @@ func (a *Application) Successor(id TaskID) TaskID { return a.succ[id] }
 // Predecessors returns the (possibly empty) predecessor list of a task. The
 // returned slice must not be modified.
 func (a *Application) Predecessors(id TaskID) []TaskID { return a.preds[id] }
+
+// Depth returns the number of edges on task id's successor chain down to
+// the root (0 for the root). A task's in-tree prefix holds only deeper
+// tasks, so sorting by depth puts every task before its feeders.
+func (a *Application) Depth(id TaskID) int { return int(a.depth[id]) }
 
 // Root returns the final task, whose outputs leave the system.
 func (a *Application) Root() TaskID { return a.root }

@@ -165,6 +165,35 @@ func TestTopologicalOrderProperty(t *testing.T) {
 	}
 }
 
+// TestDepth: Depth counts the edges down to the root, so the root is at 0
+// and every task sits one deeper than its successor.
+func TestDepth(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 50; trial++ {
+		a := randomInTree(rng, 1+rng.Intn(20))
+		if d := a.Depth(a.Root()); d != 0 {
+			t.Fatalf("trial %d: root depth %d, want 0", trial, d)
+		}
+		for i := 0; i < a.NumTasks(); i++ {
+			id := TaskID(i)
+			if s := a.Successor(id); s != NoTask && a.Depth(id) != a.Depth(s)+1 {
+				t.Fatalf("trial %d: depth(T%d) = %d, successor's %d", trial, i, a.Depth(id), a.Depth(s))
+			}
+		}
+	}
+	chain := MustChain([]TypeID{0, 1, 2, 0})
+	for i := 0; i < chain.NumTasks(); i++ {
+		id := TaskID(i)
+		want := 0
+		for s := chain.Successor(id); s != NoTask; s = chain.Successor(s) {
+			want++
+		}
+		if chain.Depth(id) != want {
+			t.Fatalf("chain depth(T%d) = %d, want %d", i, chain.Depth(id), want)
+		}
+	}
+}
+
 // randomInTree builds a random in-tree of n tasks: each non-root task picks
 // a random successor among the tasks created after it.
 func randomInTree(rng *rand.Rand, n int) *Application {

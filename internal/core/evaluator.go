@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"microfab/internal/app"
 	"microfab/internal/platform"
@@ -56,7 +57,33 @@ type Evaluator struct {
 
 	// scratch for the iterative price/unprice walks.
 	stack []app.TaskID
+
+	// TrialMove scratch, allocated on first use (behind a pointer, so the
+	// many evaluators that never call TrialMove stay as small as before).
+	trial *trialScratch
 }
+
+// trialScratch is TrialMove's scratch: the per-task machine overlay
+// (trialStays for tasks that stay; int32 halves its footprint), the
+// per-machine delta row and the walk's frames.
+type trialScratch struct {
+	over   []int32
+	delta  []float64
+	frames []trialFrame
+}
+
+// trialFrame is one pending task of a TrialMove walk with its new demand.
+type trialFrame struct {
+	t      app.TaskID
+	demand float64
+}
+
+// TrialMove overlay markers: a task that stays on its machine, and a moved
+// task an earlier walk already repriced.
+const (
+	trialStays   int32 = -1
+	trialCovered int32 = -2
+)
 
 // NewEvaluator returns an Evaluator over the instance with every task
 // unassigned.
@@ -84,7 +111,9 @@ func NewEvaluatorFrom(in *Instance, m *Mapping) (*Evaluator, error) {
 		return nil, fmt.Errorf("core: mapping covers %d tasks, instance has %d", m.Len(), in.N())
 	}
 	e := NewEvaluator(in)
-	for _, i := range in.App.ReverseTopological() {
+	topo := in.App.Topological()
+	for k := len(topo) - 1; k >= 0; k-- { // root first
+		i := topo[k]
 		if u := m.Machine(i); u != platform.NoMachine {
 			if err := e.Assign(i, u); err != nil {
 				return nil, err
@@ -209,6 +238,82 @@ func (e *Evaluator) TrialAll(i app.TaskID, out []float64) bool {
 		row[u] = (period[u] + comp[u]) + (inflRow[u]*d)*timRow[u]
 	}
 	return true
+}
+
+// TrialMove returns the period the evaluator would reach if every task
+// moved[k] sat on machine to[k], without mutating any incremental state —
+// the read-only counterpart of applying the move, reading Period and
+// reverting, with nothing to revert. The moved tasks' new machines go into
+// an overlay; the tasks are then visited root-most first (by
+// Application.Depth), and each one no earlier walk covered has its in-tree
+// prefix walked once. Every visited task t is repriced as
+// F(t,a'(t))·x'(succ t), in priceTask's product order, and the change of
+// its contribution is accumulated into a plain per-machine delta row; the
+// result is max_u MachinePeriod(u) + delta[u]. No Neumaier step, no
+// tournament tree.
+//
+// The value differs from the ledger's post-move period by rounding only:
+// about k·ulp·(largest load) for k visited tasks (see the search package's
+// TestTrialMatchesLedger). The mapping must be complete and the moved
+// tasks distinct; moved is reordered in place, to is read first.
+func (e *Evaluator) TrialMove(moved []app.TaskID, to []platform.MachineID) float64 {
+	m := len(e.led.period)
+	if e.trial == nil {
+		e.trial = &trialScratch{over: make([]int32, len(e.assign)), delta: make([]float64, m)}
+		for i := range e.trial.over {
+			e.trial.over[i] = trialStays
+		}
+	}
+	over, frames := e.trial.over, e.trial.frames
+	for k, t := range moved {
+		over[t] = int32(to[k])
+	}
+	if len(moved) > 1 {
+		a := e.in.App
+		slices.SortFunc(moved, func(s, t app.TaskID) int { return a.Depth(s) - a.Depth(t) })
+	}
+	delta := e.trial.delta[:m]
+	for u := range delta {
+		delta[u] = 0
+	}
+	infl, tim := e.in.tables()
+	for _, t0 := range moved {
+		if over[t0] == trialCovered {
+			continue // inside the prefix of a root-more moved task
+		}
+		// No moved task sits on t0's successor chain (it would have covered
+		// t0), so t0's demand is unchanged.
+		d, _ := e.Demand(t0)
+		frames = append(frames[:0], trialFrame{t0, d})
+		for len(frames) > 0 {
+			f := frames[len(frames)-1]
+			frames = frames[:len(frames)-1]
+			u := e.assign[f.t]
+			v := u
+			if w := over[f.t]; w != trialStays {
+				v = platform.MachineID(w)
+				over[f.t] = trialCovered
+			}
+			k := int(f.t)*m + int(v)
+			x := infl[k] * f.demand
+			delta[u] -= e.contrib[f.t]
+			delta[v] += x * tim[k]
+			for _, p := range e.in.App.Predecessors(f.t) {
+				frames = append(frames, trialFrame{p, x})
+			}
+		}
+	}
+	e.trial.frames = frames
+	for _, t := range moved {
+		over[t] = trialStays
+	}
+	best := 0.0
+	for u := range delta {
+		if p := (e.led.period[u] + e.led.comp[u]) + delta[u]; p > best {
+			best = p
+		}
+	}
+	return best
 }
 
 // MachinePeriodsInto writes the current per-machine periods into out

@@ -85,7 +85,9 @@ var (
 
 // Options bounds the search.
 type Options struct {
-	// Rule defaults to Specialized.
+	// Rule is the mapping rule the solution must respect. Callers almost
+	// always want core.Specialized (the paper's realistic rule); set it
+	// explicitly, since core's zero Rule is OneToOne.
 	Rule core.Rule
 	// Ctx cancels the search (nil = never). Workers observe cancellation
 	// when they reserve their next node batch from the shared budget, so a

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -165,4 +166,35 @@ func TestInTreeExact(t *testing.T) {
 		t.Fatalf("in-tree exact %v != naive %v", res.Period, want)
 	}
 	var _ = app.NoTask
+}
+
+// TestZeroRuleIsOneToOne pins what the zero Options.Rule means: core's zero
+// Rule, OneToOne, not Specialized. With n > m it is infeasible outright;
+// with n <= m it solves exactly like an explicit OneToOne.
+func TestZeroRuleIsOneToOne(t *testing.T) {
+	in, err := gen.Chain(gen.Default(18, 4, 9), gen.RNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Solve(in, Options{Workers: 1, MaxNodes: 10_000}); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("zero Rule on n=18 > m=9: got %v, want ErrInfeasible (one-to-one)", err)
+	}
+	small, err := gen.Chain(gen.Default(5, 2, 7), gen.RNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := Solve(small, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oto, err := Solve(small, Options{Rule: core.OneToOne, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := zero.Mapping.CheckRule(small.App, core.OneToOne); err != nil {
+		t.Fatalf("zero Rule returned a mapping that is not one-to-one: %v", err)
+	}
+	if zero.Period != oto.Period || zero.Mapping.String() != oto.Mapping.String() {
+		t.Fatalf("zero Rule %v (%v) differs from OneToOne %v (%v)", zero.Period, zero.Mapping, oto.Period, oto.Mapping)
+	}
 }

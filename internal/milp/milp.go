@@ -269,7 +269,9 @@ func (md *Model) Extract(x []float64) (*core.Mapping, error) {
 
 // Options tunes the exact solve.
 type Options struct {
-	// Rule defaults to Specialized.
+	// Rule is the mapping rule the solution must respect. Callers almost
+	// always want core.Specialized (the paper's realistic rule); set it
+	// explicitly, since core's zero Rule is OneToOne.
 	Rule core.Rule
 	// WarmStart optionally seeds the incumbent (use the best heuristic).
 	WarmStart *core.Mapping

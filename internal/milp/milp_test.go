@@ -2,6 +2,7 @@ package milp
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,5 +172,29 @@ func TestWarmStartVectorIsModelFeasible(t *testing.T) {
 				t.Fatalf("seed %d %s: extract(warmstart) = %v, want %v", seed, name, got, mp)
 			}
 		}
+	}
+}
+
+// TestZeroRuleIsOneToOne pins what the zero Options.Rule means: core's zero
+// Rule, OneToOne, not Specialized. With n > m no mapping exists; with
+// n <= m the solve matches an explicit OneToOne one.
+func TestZeroRuleIsOneToOne(t *testing.T) {
+	if _, err := Solve(randomInstance(t, 1, 4, 2, 3), Options{MaxNodes: 2000}); err == nil || !strings.Contains(err.Error(), "one-to-one") {
+		t.Fatalf("zero Rule on n=4 > m=3: got %v, want the one-to-one n <= m error", err)
+	}
+	in := randomInstance(t, 2, 3, 2, 5)
+	zero, err := Solve(in, Options{MaxNodes: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oto, err := Solve(in, Options{Rule: core.OneToOne, MaxNodes: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Mapping == nil || zero.Mapping.CheckRule(in.App, core.OneToOne) != nil {
+		t.Fatalf("zero Rule mapping %v is not one-to-one", zero.Mapping)
+	}
+	if zero.Period != oto.Period || zero.Mapping.String() != oto.Mapping.String() {
+		t.Fatalf("zero Rule %v (%v) differs from OneToOne %v (%v)", zero.Period, zero.Mapping, oto.Period, oto.Mapping)
 	}
 }

@@ -5,8 +5,12 @@
 // mutate the mapping and re-derive the period from scratch with
 // core.PeriodE. The nodes-per-second gap is what makes polish passes
 // affordable inside the parallel campaigns (acceptance bar: >= 5x).
+// The descents themselves price most probes read-only through
+// Evaluator.TrialMove and apply only the few near acceptance;
+// BenchmarkHillClimbPolish and BenchmarkSteepestDescent measure that
+// whole loop.
 //
-// Run with: go test -bench 'MovePricing' -benchmem ./internal/search
+// Run with: go test -bench 'MovePricing|HillClimbPolish|SteepestDescent' -benchmem ./internal/search
 package search
 
 import (
@@ -188,13 +192,12 @@ func BenchmarkSteepestDescent(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opt := DefaultOptions()
-			opt.DisableFilter = !variant.filter
+			tune := func(e *engine) { e.filter = variant.filter }
 			var probes int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
-				res, err := HillClimb(in, seed, opt)
+				res, err := hillClimb(in, seed, DefaultOptions(), tune)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -30,15 +30,13 @@ func TestFilterResultInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, first := range []bool{false, true} {
-				on := DefaultOptions()
-				on.FirstImprovement = first
-				off := on
-				off.DisableFilter = true
-				a, err := HillClimb(in, seed, on)
+				opt := DefaultOptions()
+				opt.FirstImprovement = first
+				a, err := HillClimb(in, seed, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := HillClimb(in, seed, off)
+				b, err := hillClimb(in, seed, opt, func(e *engine) { e.filter = false })
 				if err != nil {
 					t.Fatal(err)
 				}

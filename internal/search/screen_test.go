@@ -54,16 +54,13 @@ func TestScreenResultInvariant(t *testing.T) {
 			}
 			for _, first := range []bool{false, true} {
 				for _, noFilter := range []bool{false, true} {
-					on := DefaultOptions()
-					on.FirstImprovement = first
-					on.DisableFilter = noFilter
-					off := on
-					off.DisableScreen = true
-					a, err := HillClimb(in, seed, on)
+					opt := DefaultOptions()
+					opt.FirstImprovement = first
+					a, err := hillClimb(in, seed, opt, func(e *engine) { e.filter = !noFilter })
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := HillClimb(in, seed, off)
+					b, err := hillClimb(in, seed, opt, func(e *engine) { e.filter, e.screen = !noFilter, false })
 					if err != nil {
 						t.Fatal(err)
 					}

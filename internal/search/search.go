@@ -4,6 +4,13 @@
 // cheap moves, each priced through core.Evaluator in O(changed subtree)
 // instead of a full O(n·m) re-evaluation.
 //
+// Hill climbing prices each probe read-only first: Evaluator.TrialMove
+// reprices the moved tasks' in-tree prefix into a plain per-machine delta
+// row without touching the evaluator. Only a move whose trial period
+// comes within screenMargin of acceptance is applied, read off the
+// evaluator's compensated ledger, and kept or reverted; about 95% of
+// polish probes never get that far. Anneal applies every proposal.
+//
 // Move set (all rule-aware):
 //
 //   - relocate — move one task to another admissible machine;
@@ -67,35 +74,15 @@ type Options struct {
 	FirstImprovement bool
 
 	// MaxProbes bounds the number of candidate moves priced, across the
-	// whole run (0 = 100·n·m). Probes are the unit of work: each one is an
-	// incremental apply + period read (+ revert when rejected).
+	// whole run (0 = 100·n·m). Probes are the unit of work: each one is a
+	// read-only Evaluator.TrialMove pricing, followed by an incremental
+	// apply + period read (+ revert when rejected) only when the trial
+	// lands near acceptance.
 	MaxProbes int
 
 	// Iters is the number of annealing proposals (0 = 60·n). Ignored by
 	// HillClimb.
 	Iters int
-
-	// DisableFilter turns the critical-machine candidate filter off, so
-	// the descents probe every admissible move like the pre-filter engine.
-	// The filter only skips provably non-improving probes, so the refined
-	// mapping is identical either way as long as MaxProbes does not bind
-	// (see TestFilterResultInvariant). Skipped probes cost no budget, so
-	// under a binding MaxProbes — campaign polish runs 2000 probes — the
-	// filtered descent gets further and may return a different mapping.
-	// The switch exists for ablations and the invariance gate itself.
-	DisableFilter bool
-
-	// DisableScreen turns the load-delta candidate screens off, so the
-	// descents price every admissible candidate like the pre-screen
-	// engine. The screens skip only moves whose batch-priced load lower
-	// bound proves they would be rejected, so the refined mapping is
-	// identical either way as long as MaxProbes does not bind (see
-	// TestScreenResultInvariant). As with DisableFilter, screened moves
-	// cost no budget, so under a binding MaxProbes the result may differ.
-	// The screens complement the critical-machine filter on chain
-	// workloads where the filter is vacuous (every task feeds the
-	// critical machine).
-	DisableScreen bool
 
 	// Restarts makes HillClimb a multi-start descent: after refining the
 	// caller's seed it descends from fresh H-family constructive seeds
@@ -172,6 +159,11 @@ type engine struct {
 	tasks [][]app.TaskID
 	pos   []int
 
+	// The three probe screens below each skip only moves the descent would
+	// reject anyway. They are always on in production; the in-package
+	// tests switch them off (through hillClimb's tune hook) to pin that
+	// the result does not depend on them.
+
 	// Critical-machine candidate filter (see refreshMarks): tasks whose
 	// remapping could lower the current maximum carry the current stamp
 	// in mark; markedOn[u] counts them per machine.
@@ -190,6 +182,13 @@ type engine struct {
 	score  []float64
 	slope  []float64
 	walk   []app.TaskID
+
+	// Read-only trial pricing (see trialRejects): a probe whose
+	// Evaluator.TrialMove period reaches the screened threshold is
+	// rejected without applying it. moved/dest are its move scratch.
+	trial bool
+	moved []app.TaskID
+	dest  []platform.MachineID
 
 	probes    int
 	maxProbes int
@@ -220,14 +219,15 @@ func newEngine(in *core.Instance, seed *core.Mapping, opt Options) (*engine, err
 		nOn:       make([]int, in.M()),
 		tasks:     make([][]app.TaskID, in.M()),
 		pos:       make([]int, in.N()),
-		filter:    !opt.DisableFilter,
+		filter:    true,
 		mark:      make([]int, in.N()),
 		markedOn:  make([]int, in.M()),
-		screen:    !opt.DisableScreen,
+		screen:    true,
 		inflT:     core.InflationTable(in),
 		timT:      core.TimeTable(in),
 		score:     make([]float64, in.M()),
 		slope:     make([]float64, in.M()),
+		trial:     true,
 		maxProbes: opt.maxProbes(in.N(), in.M()),
 	}
 	for u := range e.spec {
@@ -499,12 +499,55 @@ func (e *engine) swapRejected(i, j app.TaskID, thresh float64) bool {
 	return lb >= thresh
 }
 
-// probeRelocate prices the move i -> v: apply, read, and keep it only when
-// it improves cur by more than the tolerance. Returns the new period and
-// whether the move was kept (reverted otherwise).
+// trialRejects prices moving every e.moved[k] to e.dest[k] read-only and
+// reports whether the resulting period reaches thresh, a screenMargin
+// value. TrialMove differs from the ledger's post-move period by rounding
+// only (about k·ulp·max load for k repriced tasks; at most 3e-16 relative
+// across TestTrialMatchesLedger's corpus), far inside the half-eps margin,
+// so a rejected probe is provably one the apply/read/revert path would
+// have reverted (TestTrialIdenticalToLedgerProbes).
+// Rejected probes still count against MaxProbes, which keeps Probes,
+// Accepted and the mapping identical under a binding budget.
+func (e *engine) trialRejects(thresh float64) bool {
+	return e.trial && e.ev.TrialMove(e.moved, e.dest) >= thresh
+}
+
+// relocTrialRejected trial-prices the relocate i -> v (see trialRejects).
+func (e *engine) relocTrialRejected(i app.TaskID, v platform.MachineID, thresh float64) bool {
+	e.moved = append(e.moved[:0], i)
+	e.dest = append(e.dest[:0], v)
+	return e.trialRejects(thresh)
+}
+
+// swapTrialRejected trial-prices the swap of i and j (see trialRejects).
+func (e *engine) swapTrialRejected(i, j app.TaskID, thresh float64) bool {
+	e.moved = append(e.moved[:0], i, j)
+	e.dest = append(e.dest[:0], e.ev.Machine(j), e.ev.Machine(i))
+	return e.trialRejects(thresh)
+}
+
+// groupTrialRejected trial-prices moving every task of u onto v (see
+// trialRejects).
+func (e *engine) groupTrialRejected(u, v platform.MachineID, thresh float64) bool {
+	e.moved = append(e.moved[:0], e.tasks[u]...)
+	e.dest = e.dest[:0]
+	for range e.moved {
+		e.dest = append(e.dest, v)
+	}
+	return e.trialRejects(thresh)
+}
+
+// probeRelocate prices the move i -> v: read-only first, then, unless
+// that already rejects it, apply and read the evaluator's exact period,
+// keeping the move only when it improves cur by more than the tolerance.
+// Returns the new period and whether the move was kept (reverted
+// otherwise).
 func (e *engine) probeRelocate(i app.TaskID, v platform.MachineID, cur float64) (float64, bool) {
-	u := e.ev.Machine(i)
 	e.probes++
+	if e.relocTrialRejected(i, v, screenMargin(cur)) {
+		return cur, false
+	}
+	u := e.ev.Machine(i)
 	e.relocate(i, v)
 	if p := e.ev.Period(); p < cur-improveEps(cur) {
 		return p, true
@@ -515,6 +558,9 @@ func (e *engine) probeRelocate(i app.TaskID, v platform.MachineID, cur float64) 
 
 func (e *engine) probeSwap(i, j app.TaskID, cur float64) (float64, bool) {
 	e.probes++
+	if e.swapTrialRejected(i, j, screenMargin(cur)) {
+		return cur, false
+	}
 	e.swap(i, j)
 	if p := e.ev.Period(); p < cur-improveEps(cur) {
 		return p, true
@@ -525,6 +571,9 @@ func (e *engine) probeSwap(i, j app.TaskID, cur float64) (float64, bool) {
 
 func (e *engine) probeGroup(u, v platform.MachineID, cur float64) (float64, bool) {
 	e.probes++
+	if e.groupTrialRejected(u, v, screenMargin(cur)) {
+		return cur, false
+	}
 	moved := e.moveGroup(u, v)
 	if p := e.ev.Period(); p < cur-improveEps(cur) {
 		return p, true
@@ -551,7 +600,14 @@ func (e *engine) probeGroup(u, v platform.MachineID, cur float64) (float64, bool
 // The result is never worse than the seed: only strictly improving moves
 // are kept, and restart results replace it only on strict improvement.
 func HillClimb(in *core.Instance, seed *core.Mapping, opt Options) (*Result, error) {
-	res, err := hillClimbOnce(in, seed, opt)
+	return hillClimb(in, seed, opt, nil)
+}
+
+// hillClimb is HillClimb with a hook that adjusts every descent's engine
+// before it starts; the in-package tests use it to switch the probe
+// screens off. tune may be nil.
+func hillClimb(in *core.Instance, seed *core.Mapping, opt Options, tune func(*engine)) (*Result, error) {
+	res, err := hillClimbOnce(in, seed, opt, tune)
 	if err != nil {
 		return nil, err
 	}
@@ -560,7 +616,7 @@ func HillClimb(in *core.Instance, seed *core.Mapping, opt Options) (*Result, err
 		if mp == nil {
 			continue
 		}
-		rr, err := hillClimbOnce(in, mp, opt)
+		rr, err := hillClimbOnce(in, mp, opt, tune)
 		if err != nil {
 			continue // a restart seed that fails to load is just no restart
 		}
@@ -600,10 +656,13 @@ func restartSeed(in *core.Instance, opt Options, r int) *core.Mapping {
 }
 
 // hillClimbOnce is one descent from one seed.
-func hillClimbOnce(in *core.Instance, seed *core.Mapping, opt Options) (*Result, error) {
+func hillClimbOnce(in *core.Instance, seed *core.Mapping, opt Options, tune func(*engine)) (*Result, error) {
 	e, err := newEngine(in, seed, opt)
 	if err != nil {
 		return nil, err
+	}
+	if tune != nil {
+		tune(e)
 	}
 	cur := e.ev.Period()
 	res := &Result{Start: cur}
@@ -733,6 +792,9 @@ func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 				continue // destination load alone already rejects the move
 			}
 			e.probes++
+			if e.relocTrialRejected(id, mv, screenMargin(bestP)) {
+				continue
+			}
 			e.relocate(id, mv)
 			consider(e.ev.Period(), steepestMove{kind: 1, i: id, v: mv})
 			e.relocate(id, u)
@@ -751,6 +813,9 @@ func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 				continue
 			}
 			e.probes++
+			if e.swapTrialRejected(a, b, screenMargin(bestP)) {
+				continue
+			}
 			e.swap(a, b)
 			consider(e.ev.Period(), steepestMove{kind: 2, i: a, j: b})
 			e.swap(a, b)
@@ -766,6 +831,9 @@ func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 				continue
 			}
 			e.probes++
+			if e.groupTrialRejected(mu, mv, screenMargin(bestP)) {
+				continue
+			}
 			moved := e.moveGroup(mu, mv)
 			consider(e.ev.Period(), steepestMove{kind: 3, u: mu, v: mv})
 			for _, i := range moved {
