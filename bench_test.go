@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (one per figure) plus
 // ablation benches for the model extensions beyond the paper (divisible
-// tasks, reconfiguration-priced general mappings).
+// tasks).
 //
 // Each figure bench runs its campaign at a reduced draw count (benchmarks
 // must stay minutes, not hours; cmd/mfexp runs paper-scale campaigns) and
@@ -177,30 +177,6 @@ func BenchmarkHeuristicH4wRoomy(b *testing.B) {
 			b.Fatal(err)
 		}
 		period = core.Period(in, mp)
-	}
-	b.ReportMetric(period, "ms_period")
-}
-
-// BenchmarkAblationGeneralReconfig sweeps the reconfiguration-cost knob of
-// the general-mapping greedy at a representative value, reporting the
-// effective period including the penalty (see heuristics.GeneralH4w and
-// core.ReconfigEvaluate).
-func BenchmarkAblationGeneralReconfig(b *testing.B) {
-	in, err := gen.Chain(gen.Default(30, 4, 8), gen.RNG(17))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var period float64
-	for i := 0; i < b.N; i++ {
-		mp, err := heuristics.GeneralH4w(in, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ev, err := core.ReconfigEvaluate(in, mp, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		period = ev.Period
 	}
 	b.ReportMetric(period, "ms_period")
 }

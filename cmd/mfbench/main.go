@@ -111,10 +111,10 @@ func main() {
 		os.Exit(1)
 	}
 	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "mfbench: REGRESSION:", r)
+		fmt.Fprintln(os.Stderr, "mfbench: FAIL:", r)
 	}
 	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "mfbench: %d of %d gated benchmarks regressed beyond %.0f%%\n", len(regressions), gated, *threshold)
+		fmt.Fprintf(os.Stderr, "mfbench: gate failed: %d findings over %d gated benchmarks (limit %.0f%%)\n", len(regressions), gated, *threshold)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "mfbench: gate passed: %d benchmarks within %.0f%% of %s\n", gated, *threshold, *baselinePath)
@@ -175,7 +175,9 @@ func readReport(path string) (Report, error) {
 // benchmarks present in both (matched by name). A benchmark regresses when
 // its ns/op grew by more than threshold percent, or any of its throughput
 // metrics (unit ending in "/s") dropped by more than threshold percent.
-// It returns the regression descriptions (deterministic order) and how
+// A baseline entry the run did not measure is a failure too: otherwise a
+// deleted or renamed benchmark would drop out of the gate silently.
+// It returns the failure descriptions (deterministic order) and how
 // many benchmarks the gate actually covered. A gate that covered nothing
 // is an error, not a clean zero-value diff: after a benchmark rename the
 // two reports share no names and a silent pass would retire the gate —
@@ -195,6 +197,17 @@ func compareReports(base, cur Report, threshold float64) (regressions []string, 
 		names = append(names, e.Name)
 	}
 	sort.Strings(names)
+	var missing []string
+	for name := range baseByName {
+		if _, ok := curByName[name]; !ok {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		regressions = append(regressions,
+			fmt.Sprintf("%s: in the baseline but not measured by this run (deleted or renamed? update the baseline and the -bench regex together)", name))
+	}
 	frac := threshold / 100
 	for _, name := range names {
 		b, ok := baseByName[name]

@@ -60,11 +60,10 @@ func entry(name string, metrics map[string]float64) Entry {
 }
 
 func TestCompareReports(t *testing.T) {
-	base := report(
-		entry("BenchmarkA", map[string]float64{"ns/op": 100}),
-		entry("BenchmarkB", map[string]float64{"ns/op": 1000, "nodes/s": 5e6}),
-		entry("BenchmarkGone", map[string]float64{"ns/op": 50}),
-	)
+	a := entry("BenchmarkA", map[string]float64{"ns/op": 100})
+	b := entry("BenchmarkB", map[string]float64{"ns/op": 1000, "nodes/s": 5e6})
+	base := report(a, b)
+	baseA, baseB := report(a), report(b)
 
 	// Within threshold on every shared benchmark: clean gate over 2 entries.
 	cur := report(
@@ -77,33 +76,41 @@ func TestCompareReports(t *testing.T) {
 		t.Fatalf("clean run flagged: regs=%v gated=%d err=%v", regs, gated, err)
 	}
 
+	// A baseline entry the run did not measure (a deleted or renamed
+	// benchmark) fails the gate instead of dropping out of it.
+	withGone := report(a, b, entry("BenchmarkGone", map[string]float64{"ns/op": 50}))
+	regs, gated, err = compareReports(withGone, cur, 20)
+	if err != nil || len(regs) != 1 || gated != 2 || !strings.Contains(regs[0], "BenchmarkGone") {
+		t.Fatalf("unmeasured baseline entry not flagged: regs=%v gated=%d err=%v", regs, gated, err)
+	}
+
 	// ns/op growth beyond the threshold must be flagged.
 	cur = report(entry("BenchmarkA", map[string]float64{"ns/op": 130}))
-	regs, gated, _ = compareReports(base, cur, 20)
+	regs, gated, _ = compareReports(baseA, cur, 20)
 	if len(regs) != 1 || gated != 1 || !strings.Contains(regs[0], "BenchmarkA") {
 		t.Fatalf("30%% ns/op growth not flagged: regs=%v gated=%d", regs, gated)
 	}
 
 	// A throughput drop is a regression even when ns/op looks fine.
 	cur = report(entry("BenchmarkB", map[string]float64{"ns/op": 1000, "nodes/s": 3e6}))
-	regs, _, _ = compareReports(base, cur, 20)
+	regs, _, _ = compareReports(baseB, cur, 20)
 	if len(regs) != 1 || !strings.Contains(regs[0], "nodes/s") {
 		t.Fatalf("40%% nodes/s drop not flagged: %v", regs)
 	}
 
 	// Throughput growth and ns/op shrink never trip the gate.
 	cur = report(entry("BenchmarkB", map[string]float64{"ns/op": 10, "nodes/s": 5e8}))
-	if regs, _, _ = compareReports(base, cur, 20); len(regs) != 0 {
+	if regs, _, _ = compareReports(baseB, cur, 20); len(regs) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", regs)
 	}
 
 	// Exactly at the limit passes; a hair over fails.
 	cur = report(entry("BenchmarkA", map[string]float64{"ns/op": 120}))
-	if regs, _, _ = compareReports(base, cur, 20); len(regs) != 0 {
+	if regs, _, _ = compareReports(baseA, cur, 20); len(regs) != 0 {
 		t.Fatalf("exactly +20%% flagged: %v", regs)
 	}
 	cur = report(entry("BenchmarkA", map[string]float64{"ns/op": 120.2}))
-	if regs, _, _ = compareReports(base, cur, 20); len(regs) != 1 {
+	if regs, _, _ = compareReports(baseA, cur, 20); len(regs) != 1 {
 		t.Fatalf("+20.2%% not flagged: %v", regs)
 	}
 
@@ -119,7 +126,7 @@ func TestCompareReports(t *testing.T) {
 		}
 	}
 	// Same failure when names overlap but none carries a gateable metric.
-	_, _, err = compareReports(base, report(entry("BenchmarkA", map[string]float64{"B/op": 12})), 20)
+	_, _, err = compareReports(baseA, report(entry("BenchmarkA", map[string]float64{"B/op": 12})), 20)
 	if err == nil {
 		t.Fatal("metric-free overlap passed the gate")
 	}
@@ -129,7 +136,7 @@ func TestCompareReports(t *testing.T) {
 		entry("BenchmarkA", map[string]float64{"ns/op": 110}),
 		entry("BenchmarkA", map[string]float64{"ns/op": 990}),
 	}}
-	if regs, _, _ = compareReports(base, cur, 20); len(regs) != 0 {
+	if regs, _, _ = compareReports(baseA, cur, 20); len(regs) != 0 {
 		t.Fatalf("duplicate rerun gated: %v", regs)
 	}
 }

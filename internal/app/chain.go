@@ -101,12 +101,3 @@ func (b *Builder) NumTasks() int { return len(b.tasks) }
 func (b *Builder) Build() (*Application, error) {
 	return New(b.tasks, b.deps)
 }
-
-// MustBuild is Build that panics on error.
-func (b *Builder) MustBuild() *Application {
-	a, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return a
-}

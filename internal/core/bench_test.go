@@ -237,78 +237,3 @@ func BenchmarkPricerPushPop(b *testing.B) {
 		})
 	}
 }
-
-// benchSwapSetup draws a chain with a round-robin mapping and a cycle of
-// task pairs to exchange. kind "adjacent" swaps (i, i+1) interior pairs —
-// the local-search workhorse, where the two prefixes overlap almost
-// completely — and "random" swaps arbitrary pairs (partial overlap).
-func benchSwapSetup(b *testing.B, kind string, n int) (*core.Evaluator, [][2]app.TaskID) {
-	b.Helper()
-	in, _, _ := benchSetup(b, "chain", n)
-	ev := core.NewEvaluator(in)
-	for i := 0; i < n; i++ {
-		_ = ev.Assign(app.TaskID(i), platform.MachineID(i%in.M()))
-	}
-	var pairs [][2]app.TaskID
-	if kind == "adjacent" {
-		for i := 0; i+1 < n; i++ {
-			pairs = append(pairs, [2]app.TaskID{app.TaskID(i), app.TaskID(i + 1)})
-		}
-	} else {
-		for k := 0; k < 64; k++ {
-			i, j := (k*7)%n, (k*13+5)%n
-			if i == j {
-				j = (j + 1) % n
-			}
-			pairs = append(pairs, [2]app.TaskID{app.TaskID(i), app.TaskID(j)})
-		}
-	}
-	return ev, pairs
-}
-
-// BenchmarkSwapKernel prices one swap probe (exchange, read the period,
-// exchange back) through the native kernel. The acceptance bar of the
-// pricing-core refactor: ≤ ~60% of BenchmarkSwapTwoAssign on the adjacent
-// cases, where the shared prefix dominates.
-func BenchmarkSwapKernel(b *testing.B) {
-	for _, c := range []struct {
-		kind string
-		n    int
-	}{{"adjacent", 50}, {"adjacent", 120}, {"random", 50}, {"random", 120}} {
-		b.Run(fmt.Sprintf("%s_n=%d", c.kind, c.n), func(b *testing.B) {
-			ev, pairs := benchSwapSetup(b, c.kind, c.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				pr := pairs[k%len(pairs)]
-				_ = ev.Swap(pr[0], pr[1])
-				_ = ev.Period()
-				_ = ev.Swap(pr[0], pr[1])
-			}
-		})
-	}
-}
-
-// BenchmarkSwapTwoAssign prices the identical probe cycle as two Assign
-// walks per exchange — the only way to swap before the kernel existed.
-func BenchmarkSwapTwoAssign(b *testing.B) {
-	for _, c := range []struct {
-		kind string
-		n    int
-	}{{"adjacent", 50}, {"adjacent", 120}, {"random", 50}, {"random", 120}} {
-		b.Run(fmt.Sprintf("%s_n=%d", c.kind, c.n), func(b *testing.B) {
-			ev, pairs := benchSwapSetup(b, c.kind, c.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				pr := pairs[k%len(pairs)]
-				u, v := ev.Machine(pr[0]), ev.Machine(pr[1])
-				_ = ev.Assign(pr[0], v)
-				_ = ev.Assign(pr[1], u)
-				_ = ev.Period()
-				_ = ev.Assign(pr[0], u)
-				_ = ev.Assign(pr[1], v)
-			}
-		})
-	}
-}

@@ -356,61 +356,6 @@ func (e *Evaluator) Assign(i app.TaskID, u platform.MachineID) error {
 	return nil
 }
 
-// Relocate moves the assigned task i to machine v — the local-search
-// relocate move as a named kernel. It is Assign plus the check that i is
-// indeed assigned (a relocate of an unassigned task is a seed bug, not a
-// move), so search engines can state their intent and get the validation.
-func (e *Evaluator) Relocate(i app.TaskID, v platform.MachineID) error {
-	if int(i) < 0 || int(i) >= len(e.assign) {
-		return fmt.Errorf("core: task %d out of range [0,%d)", int(i), len(e.assign))
-	}
-	if e.assign[i] == platform.NoMachine {
-		return fmt.Errorf("core: relocate of unassigned task %d", int(i))
-	}
-	return e.Assign(i, v)
-}
-
-// Swap exchanges the machines of the assigned tasks i and j, repricing the
-// affected in-tree region once. The equivalent Assign pair (i to a(j), then
-// j to a(i)) walks any shared prefix twice over: when one task feeds the
-// other — every swap on a chain — the first Assign unprices and reprices
-// the deeper task's whole prefix only for the second Assign to redo it.
-// Swap instead unprices the union of the two priced prefixes once, flips
-// both assignments, and reprices the union once, which is what makes a
-// swap probe cost ~half of two Assign walks on chains (see
-// BenchmarkSwapKernel). Swapping a task with itself, or two tasks on the
-// same machine, is a no-op.
-func (e *Evaluator) Swap(i, j app.TaskID) error {
-	if int(i) < 0 || int(i) >= len(e.assign) || int(j) < 0 || int(j) >= len(e.assign) {
-		return fmt.Errorf("core: swap (%d, %d) out of range [0,%d)", int(i), int(j), len(e.assign))
-	}
-	u, v := e.assign[i], e.assign[j]
-	if u == platform.NoMachine || v == platform.NoMachine {
-		return fmt.Errorf("core: swap needs both tasks assigned (a(%d)=%d, a(%d)=%d)", int(i), int(u), int(j), int(v))
-	}
-	if i == j || u == v {
-		return nil
-	}
-	// Unprice the union of the two priced prefixes. When one task sits in
-	// the other's prefix the first walk already covers it, hence the
-	// second guard (unpricing twice would discharge machines twice).
-	if e.priced[i] {
-		e.unpriceSubtree(i)
-	}
-	if e.priced[j] {
-		e.unpriceSubtree(j)
-	}
-	e.assign[i], e.assign[j] = v, u
-	// Reprice the union. priceSubtree(i) walks every assigned feeder of i,
-	// so it reprices j too when j feeds i; the guard keeps the disjoint
-	// and j-feeds-i cases from double-pricing.
-	e.priceSubtree(i)
-	if !e.priced[j] {
-		e.priceSubtree(j)
-	}
-	return nil
-}
-
 // Unassign clears task i's machine, unpricing it and its priced prefix. A
 // no-op when i is already unassigned.
 func (e *Evaluator) Unassign(i app.TaskID) {

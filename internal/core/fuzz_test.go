@@ -364,79 +364,6 @@ func FuzzSplitDelta(f *testing.F) {
 	})
 }
 
-// FuzzSwapDelta decodes an instance, a complete mapping and a swap script,
-// and cross-checks the native Evaluator.Swap kernel against the two-Assign
-// oracle and the from-scratch evaluation after every step — the fuzz twin
-// of TestSwapKernelDifferential. Roughly one step in four is a relocate so
-// the kernels are exercised interleaved, like a real neighborhood scan.
-func FuzzSwapDelta(f *testing.F) {
-	f.Add([]byte("native-swap-kernel"))
-	f.Add([]byte{9, 4, 3, 1, 120, 40, 60, 80, 100, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add([]byte{12, 6, 2, 0, 200, 100, 50, 25, 0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6})
-	f.Add([]byte("\x0f\x08\x04\x01swap-and-relocate\x00\xff\x01\xfe\x02\xfd"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		p := &byteProgram{data: data}
-		in, err := decodeInstance(p)
-		if err != nil {
-			t.Fatalf("decoder built an invalid instance: %v", err)
-		}
-		mp := core.NewMapping(in.N())
-		for i := 0; i < in.N(); i++ {
-			mp.Assign(app.TaskID(i), platform.MachineID(p.intn(in.M())))
-		}
-		kernel, err := core.NewEvaluatorFrom(in, mp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := core.NewEvaluatorFrom(in, mp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps := 8 + p.intn(40)
-		for s := 0; s < steps; s++ {
-			var desc string
-			if p.next()%4 == 0 {
-				i := app.TaskID(p.intn(in.N()))
-				v := platform.MachineID(p.intn(in.M()))
-				if err := kernel.Relocate(i, v); err != nil {
-					t.Fatalf("step %d: Relocate(T%d, M%d): %v", s, int(i)+1, int(v)+1, err)
-				}
-				if err := oracle.Assign(i, v); err != nil {
-					t.Fatal(err)
-				}
-				mp.Assign(i, v)
-				desc = fmt.Sprintf("relocate T%d -> M%d", int(i)+1, int(v)+1)
-			} else {
-				i := app.TaskID(p.intn(in.N()))
-				j := app.TaskID(p.intn(in.N()))
-				u, v := mp.Machine(i), mp.Machine(j)
-				if err := kernel.Swap(i, j); err != nil {
-					t.Fatalf("step %d: Swap(T%d, T%d): %v", s, int(i)+1, int(j)+1, err)
-				}
-				if err := oracle.Assign(i, v); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.Assign(j, u); err != nil {
-					t.Fatal(err)
-				}
-				mp.Assign(i, v)
-				mp.Assign(j, u)
-				desc = fmt.Sprintf("swap T%d <-> T%d", int(i)+1, int(j)+1)
-			}
-			for w := 0; w < in.M(); w++ {
-				mw := platform.MachineID(w)
-				if k, o := kernel.MachinePeriod(mw), oracle.MachinePeriod(mw); !close12(k, o) {
-					t.Fatalf("step %d (%s): period(M%d) kernel %v, oracle %v", s, desc, w+1, k, o)
-				}
-			}
-			checkAgainstReference(t, in, mp, kernel, fmt.Sprintf("step %d (%s)", s, desc))
-		}
-	})
-}
-
 // FuzzTrialAll decodes an instance plus a mutation script and, after every
 // step, cross-checks the batch kernels against their scalar counterparts:
 // the Evaluator.TrialAll row must be bit-equal to m Trial calls at every

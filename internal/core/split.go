@@ -138,46 +138,3 @@ func EvaluateSplit(in *Instance, s *SplitMapping) (*Evaluation, error) {
 	}
 	return ev, nil
 }
-
-// ReconfigEvaluate evaluates a general-rule mapping with a reconfiguration
-// penalty: a machine running k > 1 distinct task types pays `reconfig` ms
-// per type, per finished product, on top of its processing period (the
-// machine cycles through its types once per output, reconfiguring between
-// type runs). With reconfig = 0 this is exactly Evaluate — the paper's
-// model, where general mappings are "not really useful because of the
-// unaffordable reconfiguration costs".
-func ReconfigEvaluate(in *Instance, m *Mapping, reconfig float64) (*Evaluation, error) {
-	ev, err := Evaluate(in, m)
-	if err != nil {
-		return nil, err
-	}
-	if reconfig <= 0 {
-		return ev, nil
-	}
-	types := make([]map[app.TypeID]bool, in.M())
-	for i := 0; i < in.N(); i++ {
-		id := app.TaskID(i)
-		u := m.Machine(id)
-		if types[u] == nil {
-			types[u] = map[app.TypeID]bool{}
-		}
-		types[u][in.App.Type(id)] = true
-	}
-	ev.Period = 0
-	ev.Critical = platform.NoMachine
-	for u := range ev.MachinePeriods {
-		if k := len(types[u]); k > 1 {
-			ev.MachinePeriods[u] += reconfig * float64(k)
-		}
-		if ev.MachinePeriods[u] > ev.Period {
-			ev.Period = ev.MachinePeriods[u]
-			ev.Critical = platform.MachineID(u)
-		}
-	}
-	if ev.Period > 0 {
-		ev.Throughput = 1 / ev.Period
-	} else {
-		ev.Throughput = 0
-	}
-	return ev, nil
-}

@@ -106,45 +106,6 @@ func TestSplitBlendedFailure(t *testing.T) {
 	}
 }
 
-func TestReconfigEvaluate(t *testing.T) {
-	// Two tasks of different types on one machine: general mapping.
-	in := twoTaskInstance(t)
-	m := NewMapping(2)
-	m.Assign(0, 0)
-	m.Assign(1, 0)
-	base, err := ReconfigEvaluate(in, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(in, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Period != ev.Period {
-		t.Fatalf("reconfig=0 period %v != plain %v", base.Period, ev.Period)
-	}
-	pen, err := ReconfigEvaluate(in, m, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two types on M0: +50·2 = +100.
-	if math.Abs(pen.Period-(ev.Period+100)) > 1e-9 {
-		t.Fatalf("penalized period = %v, want %v", pen.Period, ev.Period+100)
-	}
-	// Specialized machines pay nothing.
-	m2 := NewMapping(2)
-	m2.Assign(0, 0)
-	m2.Assign(1, 1)
-	p2, err := ReconfigEvaluate(in, m2, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Evaluate(in, m2)
-	if p2.Period != want.Period {
-		t.Fatalf("specialized mapping penalized: %v vs %v", p2.Period, want.Period)
-	}
-}
-
 func TestEvaluateSplitRejectsZeroShares(t *testing.T) {
 	a := app.MustChain([]app.TypeID{0})
 	p, _ := platform.NewHomogeneous(1, 2, 100)

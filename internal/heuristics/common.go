@@ -72,6 +72,7 @@ type state struct {
 	spec []app.TypeID // specialization per machine; noType when free
 
 	nbFree       int    // machines not yet dedicated to any type
+	types        int    // types present in the app
 	typesToGo    int    // types present in the app with no group yet
 	typeHasGroup []bool // per type
 
@@ -86,21 +87,31 @@ func newState(in *core.Instance) *state {
 		in:           in,
 		ev:           core.NewEvaluator(in),
 		spec:         make([]app.TypeID, m),
-		nbFree:       m,
 		typeHasGroup: make([]bool, in.P()),
 		trial:        make([]float64, m),
-	}
-	for u := range s.spec {
-		s.spec[u] = noType
 	}
 	// Count only types that actually occur (type IDs may be sparse when a
 	// caller builds instances by hand).
 	for _, c := range in.App.TypeCounts() {
 		if c > 0 {
-			s.typesToGo++
+			s.types++
 		}
 	}
+	s.reset()
 	return s
+}
+
+// reset returns the state to the empty assignment, reusing its storage.
+// Evaluator.Reset restores exact zeros, so a reset state assigns and
+// prices bit-identically to a fresh one.
+func (s *state) reset() {
+	s.ev.Reset()
+	for u := range s.spec {
+		s.spec[u] = noType
+	}
+	clear(s.typeHasGroup)
+	s.nbFree = len(s.spec)
+	s.typesToGo = s.types
 }
 
 // demand returns the product count required downstream of task i: x of its

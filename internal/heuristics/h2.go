@@ -96,10 +96,13 @@ type pickFunc func(s *state, i app.TaskID, budget float64) platform.MachineID
 // infinite budget — which always succeeds thanks to the feasibility guard —
 // to obtain a feasible period, then halves the [0, feasible] interval down
 // to the configured granularity, keeping the best complete assignment seen.
+// Every attempt reuses one state and one root-first order.
 func binarySearch(in *core.Instance, opts Options, pick pickFunc) (*core.Mapping, error) {
+	order := in.App.ReverseTopological()
+	s := newState(in)
 	attempt := func(budget float64) (*core.Mapping, float64, bool) {
-		s := newState(in)
-		for _, i := range in.App.ReverseTopological() {
+		s.reset()
+		for _, i := range order {
 			u := pick(s, i, budget)
 			if u == platform.NoMachine {
 				return nil, 0, false

@@ -264,45 +264,6 @@ func TestH4wSplitValidAndNeverWorse(t *testing.T) {
 	}
 }
 
-func TestGeneralH4wZeroReconfigBeatsSpecialized(t *testing.T) {
-	// With no reconfiguration cost, the unconstrained greedy has a
-	// superset of choices; it should not be dramatically worse than the
-	// specialized greedy on random instances, and its mapping is valid
-	// under the general rule.
-	for seed := int64(0); seed < 10; seed++ {
-		in := randomChain(t, 600+seed, 15, 3, 5)
-		mg, err := GeneralH4w(in, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mg.CheckRule(in.App, core.GeneralRule); err != nil {
-			t.Fatal(err)
-		}
-		if !mg.Complete() {
-			t.Fatal("incomplete general mapping")
-		}
-	}
-}
-
-func TestGeneralH4wLargeReconfigSpecializes(t *testing.T) {
-	// A punitive reconfiguration cost should drive the general greedy to
-	// a (nearly) specialized mapping.
-	in := randomChain(t, 77, 12, 3, 6)
-	mg, err := GeneralH4w(in, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.CheckRule(in.App, core.Specialized); err != nil {
-		t.Fatalf("large reconfig cost still mixed types: %v", err)
-	}
-	if _, err := GeneralH4w(in, -1); err == nil {
-		t.Fatal("negative reconfig accepted")
-	}
-	if _, err := GeneralH4w(nil, 0); err == nil {
-		t.Fatal("nil instance accepted")
-	}
-}
-
 func TestSingleMachineSingleType(t *testing.T) {
 	// Degenerate: everything must land on the only machine.
 	a := app.MustChain([]app.TypeID{0, 0, 0})

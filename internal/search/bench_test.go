@@ -1,14 +1,12 @@
 // Benchmarks for the hot loop of the search layer: pricing one
-// neighborhood move. The incremental engine applies the move through
-// core.Evaluator and reads the lazily-maintained maximum; the ablation
-// baseline prices the same move the way a pre-Evaluator search would —
-// mutate the mapping and re-derive the period from scratch with
-// core.PeriodE. The nodes-per-second gap is what makes polish passes
+// neighborhood move. The incremental engine prices the move read-only
+// through Evaluator.TrialMove, exactly as every probe of the search does;
+// the ablation baseline prices the same move the way a pre-Evaluator
+// search would — mutate the mapping and re-derive the period from scratch
+// with core.PeriodE. The nodes-per-second gap is what makes polish passes
 // affordable inside the parallel campaigns (acceptance bar: >= 5x).
-// The descents themselves price most probes read-only through
-// Evaluator.TrialMove and apply only the few near acceptance;
-// BenchmarkHillClimbPolish and BenchmarkSteepestDescent measure that
-// whole loop.
+// BenchmarkHillClimbPolish and BenchmarkSteepestDescent measure the whole
+// descent loop.
 //
 // Run with: go test -bench 'MovePricing|HillClimbPolish|SteepestDescent' -benchmem ./internal/search
 package search
@@ -24,18 +22,13 @@ import (
 	"microfab/internal/platform"
 )
 
-type benchMove struct {
-	i app.TaskID
-	v platform.MachineID
-}
-
 // benchMoveSetup draws an 8-branch in-tree (short repricing prefixes, the
 // shape move loops see in practice) with an H4w seed, plus a precomputed
 // cycle of admissible relocations. kind selects which tasks move:
 // "frontier" relocates source tasks only (nothing feeds them, so a move
 // reprices exactly one task — the dominant cheap case), "interior"
 // relocates every task (a move reprices the task plus its branch prefix).
-func benchMoveSetup(b *testing.B, kind string, n, m int) (*core.Instance, *core.Mapping, *engine, []benchMove) {
+func benchMoveSetup(b *testing.B, kind string, n, m int) (*core.Instance, *core.Mapping, *engine, []move) {
 	b.Helper()
 	in, err := gen.InTree(gen.Default(n, 5, m), 8, gen.RNG(int64(n)))
 	if err != nil {
@@ -56,12 +49,12 @@ func benchMoveSetup(b *testing.B, kind string, n, m int) (*core.Instance, *core.
 			tasks = append(tasks, app.TaskID(i))
 		}
 	}
-	var moves []benchMove
+	var moves []move
 	for _, id := range tasks {
 		for v := 0; v < in.M(); v++ {
 			mv := platform.MachineID(v)
 			if e.admissible(id, mv) {
-				moves = append(moves, benchMove{id, mv})
+				moves = append(moves, move{kind: relocateMove, i: id, v: mv})
 				break
 			}
 		}
@@ -79,19 +72,11 @@ func BenchmarkMovePricingIncremental(b *testing.B) {
 	}{{"frontier", 50, 10}, {"frontier", 120, 20}, {"interior", 50, 10}, {"interior", 120, 20}} {
 		b.Run(fmt.Sprintf("%s_n=%d_m=%d", c.kind, c.n, c.m), func(b *testing.B) {
 			_, _, e, moves := benchMoveSetup(b, c.kind, c.n, c.m)
-			cur := e.ev.Period()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
-				mv := moves[k%len(moves)]
-				// Apply, read the new period, revert: one full probe.
-				u := e.ev.Machine(mv.i)
-				e.relocate(mv.i, mv.v)
-				p := e.ev.Period()
-				e.relocate(mv.i, u)
-				_ = p
+				_ = e.price(moves[k%len(moves)]) // one full probe
 			}
-			_ = cur
 		})
 	}
 }

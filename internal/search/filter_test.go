@@ -118,18 +118,16 @@ func TestTaskListsMaintained(t *testing.T) {
 	rng := gen.RNG(99)
 	for it := 0; it < 300; it++ {
 		kind := []moveKind{relocateMove, swapMove, groupMove}[rng.Intn(3)]
-		if _, applied, undo := e.proposeRandom(rng, kind, in.N(), in.M()); applied {
-			if rng.Intn(2) == 0 {
-				undo()
-			}
+		if mv, _, ok := e.proposeRandom(rng, kind, in.N(), in.M()); ok && rng.Intn(2) == 0 {
+			e.apply(mv)
 			checkLists("proposal")
 		}
 	}
 }
 
-// TestSwapEngineMatchesRelocatePair: the kernel-backed engine swap must
-// land on the same state as the old relocate-pair implementation, to the
-// evaluator's differential tolerance.
+// TestSwapEngineMatchesRelocatePair: the engine swap, with its O(1)
+// exchange of the task-list slots, must land on the same state as two
+// plain relocates, to the evaluator's differential tolerance.
 func TestSwapEngineMatchesRelocatePair(t *testing.T) {
 	in, err := gen.Chain(gen.Default(20, 4, 8), gen.RNG(55))
 	if err != nil {
@@ -154,8 +152,7 @@ func TestSwapEngineMatchesRelocatePair(t *testing.T) {
 		if !a.swapAdmissible(i, j) {
 			continue
 		}
-		a.swap(i, j)
-		// The pre-kernel implementation: two relocates.
+		a.apply(move{kind: swapMove, i: i, j: j})
 		u, v := b.ev.Machine(i), b.ev.Machine(j)
 		b.relocate(i, v)
 		b.relocate(j, u)
@@ -163,7 +160,7 @@ func TestSwapEngineMatchesRelocatePair(t *testing.T) {
 			mw := platform.MachineID(w)
 			pa, pb := a.ev.MachinePeriod(mw), b.ev.MachinePeriod(mw)
 			if math.Abs(pa-pb) > 1e-12*math.Max(1, math.Max(pa, pb)) {
-				t.Fatalf("step %d: kernel swap and relocate pair diverged on M%d: %v vs %v", step, w+1, pa, pb)
+				t.Fatalf("step %d: engine swap and relocate pair diverged on M%d: %v vs %v", step, w+1, pa, pb)
 			}
 		}
 		if a.spec[u] != b.spec[u] || a.spec[v] != b.spec[v] || a.nOn[u] != b.nOn[u] || a.nOn[v] != b.nOn[v] {

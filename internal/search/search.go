@@ -4,12 +4,11 @@
 // cheap moves, each priced through core.Evaluator in O(changed subtree)
 // instead of a full O(n·m) re-evaluation.
 //
-// Hill climbing prices each probe read-only first: Evaluator.TrialMove
-// reprices the moved tasks' in-tree prefix into a plain per-machine delta
-// row without touching the evaluator. Only a move whose trial period
-// comes within screenMargin of acceptance is applied, read off the
-// evaluator's compensated ledger, and kept or reverted; about 95% of
-// polish probes never get that far. Anneal applies every proposal.
+// Every probe, in the descents and in annealing alike, is decided on its
+// read-only trial price: Evaluator.TrialMove reprices the moved tasks'
+// in-tree prefix into a plain per-machine delta row without touching the
+// evaluator. Only a kept move is applied; the new period is then read off
+// the evaluator's compensated ledger. Nothing is ever reverted.
 //
 // Move set (all rule-aware):
 //
@@ -59,6 +58,14 @@ const (
 // the workhorse move).
 var annealKinds = []moveKind{relocateMove, relocateMove, swapMove, groupMove}
 
+// move is one neighborhood move: relocate task i onto machine v, swap the
+// machines of tasks i and j, or move every task of machine u onto v.
+type move struct {
+	kind moveKind
+	i, j app.TaskID
+	u, v platform.MachineID
+}
+
 // Options tunes a search run. The zero value means: one-to-one rule
 // (core's zero Rule; use DefaultOptions for Specialized), steepest
 // descent over the full move set, and the default budgets.
@@ -75,9 +82,8 @@ type Options struct {
 
 	// MaxProbes bounds the number of candidate moves priced, across the
 	// whole run (0 = 100·n·m). Probes are the unit of work: each one is a
-	// read-only Evaluator.TrialMove pricing, followed by an incremental
-	// apply + period read (+ revert when rejected) only when the trial
-	// lands near acceptance.
+	// read-only Evaluator.TrialMove pricing; only a kept move is then
+	// applied to the evaluator.
 	MaxProbes int
 
 	// Iters is the number of annealing proposals (0 = 60·n). Ignored by
@@ -183,10 +189,8 @@ type engine struct {
 	slope  []float64
 	walk   []app.TaskID
 
-	// Read-only trial pricing (see trialRejects): a probe whose
-	// Evaluator.TrialMove period reaches the screened threshold is
-	// rejected without applying it. moved/dest are its move scratch.
-	trial bool
+	// Read-only trial pricing scratch (see price): the moved tasks and
+	// their destination machines.
 	moved []app.TaskID
 	dest  []platform.MachineID
 
@@ -227,7 +231,6 @@ func newEngine(in *core.Instance, seed *core.Mapping, opt Options) (*engine, err
 		timT:      core.TimeTable(in),
 		score:     make([]float64, in.M()),
 		slope:     make([]float64, in.M()),
-		trial:     true,
 		maxProbes: opt.maxProbes(in.N(), in.M()),
 	}
 	for u := range e.spec {
@@ -300,12 +303,11 @@ func (e *engine) groupAdmissible(u, v platform.MachineID) bool {
 	}
 }
 
-// relocate applies the move i -> v through the Relocate kernel,
-// maintaining the rule bookkeeping and the task lists. It is its own
-// inverse (relocate back to the previous machine).
+// relocate moves task i onto machine v, maintaining the rule bookkeeping
+// and the task lists.
 func (e *engine) relocate(i app.TaskID, v platform.MachineID) {
 	u := e.ev.Machine(i)
-	_ = e.ev.Relocate(i, v) // i and v are always in range and assigned here
+	_ = e.ev.Assign(i, v) // i and v are always in range here
 	// Task lists: swap-remove from u, append to v.
 	lst := e.tasks[u]
 	k, last := e.pos[i], len(lst)-1
@@ -323,17 +325,16 @@ func (e *engine) relocate(i app.TaskID, v platform.MachineID) {
 	e.spec[v] = e.in.App.Type(i)
 }
 
-// swap exchanges the machines of i and j through the native Swap kernel —
-// one repricing of the affected region instead of two Assign walks (~half
-// the cost on chains, where every swap shares a prefix). The bookkeeping
-// is an O(1) exchange: occupancies are unchanged and each machine takes
-// the other task's slot in its list.
+// swap exchanges the machines of i and j. The bookkeeping is an O(1)
+// exchange: occupancies are unchanged and each machine takes the other
+// task's slot in its list.
 func (e *engine) swap(i, j app.TaskID) {
 	u, v := e.ev.Machine(i), e.ev.Machine(j)
 	if i == j || u == v {
 		return
 	}
-	_ = e.ev.Swap(i, j)
+	_ = e.ev.Assign(i, v)
+	_ = e.ev.Assign(j, u)
 	e.tasks[u][e.pos[i]] = j
 	e.tasks[v][e.pos[j]] = i
 	e.pos[i], e.pos[j] = e.pos[j], e.pos[i]
@@ -344,21 +345,56 @@ func (e *engine) swap(i, j app.TaskID) {
 	e.spec[v] = e.in.App.Type(i)
 }
 
-// tasksOn copies machine u's task list into the scratch slice (the live
-// list mutates as moveGroup relocates).
-func (e *engine) tasksOn(u platform.MachineID) []app.TaskID {
-	e.group = append(e.group[:0], e.tasks[u]...)
-	return e.group
+// apply executes mv on the evaluator and the rule bookkeeping.
+func (e *engine) apply(mv move) {
+	switch mv.kind {
+	case swapMove:
+		e.swap(mv.i, mv.j)
+	case groupMove:
+		// Copy the list first: the live one shrinks as its tasks leave.
+		e.group = append(e.group[:0], e.tasks[mv.u]...)
+		for _, i := range e.group {
+			e.relocate(i, mv.v)
+		}
+	default:
+		e.relocate(mv.i, mv.v)
+	}
 }
 
-// moveGroup relocates every task of u onto v and returns the moved tasks
-// (scratch; copy before the next engine call if kept).
-func (e *engine) moveGroup(u, v platform.MachineID) []app.TaskID {
-	tasks := e.tasksOn(u)
-	for _, i := range tasks {
-		e.relocate(i, v)
+// price returns the period the evaluator would reach after mv, read-only
+// (Evaluator.TrialMove). It differs from the ledger's post-move period by
+// rounding only: about k·ulp·(largest load) for k repriced tasks, at most
+// 3e-16 relative across TestTrialMatchesLedger's corpus, far below
+// improveEps.
+func (e *engine) price(mv move) float64 {
+	switch mv.kind {
+	case swapMove:
+		e.moved = append(e.moved[:0], mv.i, mv.j)
+		e.dest = append(e.dest[:0], e.ev.Machine(mv.j), e.ev.Machine(mv.i))
+	case groupMove:
+		e.moved = append(e.moved[:0], e.tasks[mv.u]...)
+		e.dest = e.dest[:0]
+		for range e.moved {
+			e.dest = append(e.dest, mv.v)
+		}
+	default:
+		e.moved = append(e.moved[:0], mv.i)
+		e.dest = append(e.dest[:0], mv.v)
 	}
-	return tasks
+	return e.ev.TrialMove(e.moved, e.dest)
+}
+
+// probe counts one probe of mv and keeps the move iff its trial price
+// improves cur by more than improveEps. Only a kept move is applied; the
+// new period is then read off the ledger. Returns the period and whether
+// the move was kept.
+func (e *engine) probe(mv move, cur float64) (float64, bool) {
+	e.probes++
+	if e.price(mv) >= cur-improveEps(cur) {
+		return cur, false
+	}
+	e.apply(mv)
+	return e.ev.Period(), true
 }
 
 // refreshMarks recomputes the critical-machine candidate filter. A move
@@ -371,9 +407,8 @@ func (e *engine) moveGroup(u, v platform.MachineID) []app.TaskID {
 // critical load bit-identical (charge/discharge never touches it), so
 // skipping those probes cannot skip an accepted move. The marks are exact
 // for the state they were computed against; descents refresh them after
-// every kept move. (Reverted probes can drift other machines' compensated
-// sums by ulps, which is why acceptance requires improveEps — far above
-// ulp scale — rather than any strict inequality; see the invariance gate
+// every kept move. (Probes never touch the evaluator, so nothing else can
+// move the loads between refreshes; see the invariance gate
 // TestFilterResultInvariant.)
 //
 // Cost: O(|critical tasks| · chain depth), the marked region only.
@@ -416,10 +451,10 @@ func (e *engine) candidateGroup(u platform.MachineID) bool {
 // skip threshold: a probe is skipped only when its load lower bound
 // reaches cur - eps/2, half the acceptance tolerance away from the
 // rejection line. The half-eps margin covers every floating-point
-// discrepancy between the screens' flat-array arithmetic and the
-// ledger's compensated sums (ulp scale, orders of magnitude below eps),
-// so a skipped probe is provably one the descent would have rejected —
-// the screens never change the result (TestScreenResultInvariant).
+// discrepancy between the screens' flat-array arithmetic and the trial
+// price (ulp scale, orders of magnitude below eps), so a skipped probe is
+// provably one the descent would have rejected — the screens never change
+// the result (TestScreenResultInvariant).
 func screenMargin(cur float64) float64 { return cur - improveEps(cur)/2 }
 
 // relocScores fills the scoring scratch with, per machine v, a sound
@@ -433,8 +468,7 @@ func screenMargin(cur float64) float64 { return cur - improveEps(cur)/2 }
 // v is period(v) + x_i(v)·w(i,v) + (r-1)·slope(v) with slope(v) the
 // feeders' current contribution on v — an equality, not an estimate; it
 // lower-bounds the new period because the period is the maximum load.
-// Valid until the next kept move (reverted probes only drift ulps, which
-// screenMargin absorbs).
+// Valid until the next kept move.
 func (e *engine) relocScores(i app.TaskID) []float64 {
 	e.ev.TrialAll(i, e.score)
 	m := len(e.score)
@@ -497,91 +531,6 @@ func (e *engine) swapRejected(i, j app.TaskID, thresh float64) bool {
 		lb = o
 	}
 	return lb >= thresh
-}
-
-// trialRejects prices moving every e.moved[k] to e.dest[k] read-only and
-// reports whether the resulting period reaches thresh, a screenMargin
-// value. TrialMove differs from the ledger's post-move period by rounding
-// only (about k·ulp·max load for k repriced tasks; at most 3e-16 relative
-// across TestTrialMatchesLedger's corpus), far inside the half-eps margin,
-// so a rejected probe is provably one the apply/read/revert path would
-// have reverted (TestTrialIdenticalToLedgerProbes).
-// Rejected probes still count against MaxProbes, which keeps Probes,
-// Accepted and the mapping identical under a binding budget.
-func (e *engine) trialRejects(thresh float64) bool {
-	return e.trial && e.ev.TrialMove(e.moved, e.dest) >= thresh
-}
-
-// relocTrialRejected trial-prices the relocate i -> v (see trialRejects).
-func (e *engine) relocTrialRejected(i app.TaskID, v platform.MachineID, thresh float64) bool {
-	e.moved = append(e.moved[:0], i)
-	e.dest = append(e.dest[:0], v)
-	return e.trialRejects(thresh)
-}
-
-// swapTrialRejected trial-prices the swap of i and j (see trialRejects).
-func (e *engine) swapTrialRejected(i, j app.TaskID, thresh float64) bool {
-	e.moved = append(e.moved[:0], i, j)
-	e.dest = append(e.dest[:0], e.ev.Machine(j), e.ev.Machine(i))
-	return e.trialRejects(thresh)
-}
-
-// groupTrialRejected trial-prices moving every task of u onto v (see
-// trialRejects).
-func (e *engine) groupTrialRejected(u, v platform.MachineID, thresh float64) bool {
-	e.moved = append(e.moved[:0], e.tasks[u]...)
-	e.dest = e.dest[:0]
-	for range e.moved {
-		e.dest = append(e.dest, v)
-	}
-	return e.trialRejects(thresh)
-}
-
-// probeRelocate prices the move i -> v: read-only first, then, unless
-// that already rejects it, apply and read the evaluator's exact period,
-// keeping the move only when it improves cur by more than the tolerance.
-// Returns the new period and whether the move was kept (reverted
-// otherwise).
-func (e *engine) probeRelocate(i app.TaskID, v platform.MachineID, cur float64) (float64, bool) {
-	e.probes++
-	if e.relocTrialRejected(i, v, screenMargin(cur)) {
-		return cur, false
-	}
-	u := e.ev.Machine(i)
-	e.relocate(i, v)
-	if p := e.ev.Period(); p < cur-improveEps(cur) {
-		return p, true
-	}
-	e.relocate(i, u)
-	return cur, false
-}
-
-func (e *engine) probeSwap(i, j app.TaskID, cur float64) (float64, bool) {
-	e.probes++
-	if e.swapTrialRejected(i, j, screenMargin(cur)) {
-		return cur, false
-	}
-	e.swap(i, j)
-	if p := e.ev.Period(); p < cur-improveEps(cur) {
-		return p, true
-	}
-	e.swap(i, j)
-	return cur, false
-}
-
-func (e *engine) probeGroup(u, v platform.MachineID, cur float64) (float64, bool) {
-	e.probes++
-	if e.groupTrialRejected(u, v, screenMargin(cur)) {
-		return cur, false
-	}
-	moved := e.moveGroup(u, v)
-	if p := e.ev.Period(); p < cur-improveEps(cur) {
-		return p, true
-	}
-	for _, i := range moved {
-		e.relocate(i, u)
-	}
-	return cur, false
 }
 
 // HillClimb refines the seed mapping by local descent over the move set:
@@ -705,7 +654,7 @@ func (e *engine) descendFirst(cur float64, res *Result) (float64, bool) {
 			if scores != nil && scores[v] >= screenMargin(cur) {
 				continue // destination load alone already rejects the move
 			}
-			if p, ok := e.probeRelocate(id, mv, cur); ok {
+			if p, ok := e.probe(move{kind: relocateMove, i: id, v: mv}, cur); ok {
 				cur, improved = p, true
 				res.Accepted++
 				e.refreshMarks()
@@ -727,7 +676,7 @@ func (e *engine) descendFirst(cur float64, res *Result) (float64, bool) {
 			if e.swapRejected(a, b, screenMargin(cur)) {
 				continue
 			}
-			if p, ok := e.probeSwap(a, b, cur); ok {
+			if p, ok := e.probe(move{kind: swapMove, i: a, j: b}, cur); ok {
 				cur, improved = p, true
 				res.Accepted++
 				e.refreshMarks()
@@ -735,14 +684,16 @@ func (e *engine) descendFirst(cur float64, res *Result) (float64, bool) {
 		}
 	}
 	for u := 0; u < m && e.budgetLeft(); u++ {
-		if !e.candidateGroup(platform.MachineID(u)) {
+		mu := platform.MachineID(u)
+		if !e.candidateGroup(mu) {
 			continue
 		}
 		for v := 0; v < m && e.budgetLeft(); v++ {
-			if !e.groupAdmissible(platform.MachineID(u), platform.MachineID(v)) {
+			mv := platform.MachineID(v)
+			if !e.groupAdmissible(mu, mv) {
 				continue
 			}
-			if p, ok := e.probeGroup(platform.MachineID(u), platform.MachineID(v), cur); ok {
+			if p, ok := e.probe(move{kind: groupMove, u: mu, v: mv}, cur); ok {
 				cur, improved = p, true
 				res.Accepted++
 				e.refreshMarks()
@@ -752,25 +703,19 @@ func (e *engine) descendFirst(cur float64, res *Result) (float64, bool) {
 	return cur, improved
 }
 
-// steepestMove describes the best move of one steepest-descent scan.
-type steepestMove struct {
-	kind int // 0 none, 1 relocate, 2 swap, 3 group
-	i, j app.TaskID
-	u, v platform.MachineID
-}
-
 // descendSteepest scans the whole neighborhood, remembers the single move
-// with the lowest resulting period, and applies it. Returns the new
-// period and whether a move was applied.
+// with the lowest trial price, and applies it. Returns the new period and
+// whether a move was applied.
 func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
-	best := steepestMove{}
+	var best move
+	found := false
 	bestP := cur
 	n, m := e.in.N(), e.in.M()
-	e.refreshMarks() // valid for the whole scan: probes revert, nothing is kept until the end
-	consider := func(p float64, mv steepestMove) {
-		if p < bestP-improveEps(bestP) {
-			bestP = p
-			best = mv
+	e.refreshMarks() // valid for the whole scan: probes are read-only, nothing is kept until the end
+	consider := func(mv move) {
+		e.probes++
+		if p := e.price(mv); p < bestP-improveEps(bestP) {
+			bestP, best, found = p, mv, true
 		}
 	}
 	for i := 0; i < n && e.budgetLeft(); i++ {
@@ -782,7 +727,6 @@ func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 		if e.screen {
 			scores = e.relocScores(id) // nothing is kept mid-scan, so one row serves all targets
 		}
-		u := e.ev.Machine(id)
 		for v := 0; v < m && e.budgetLeft(); v++ {
 			mv := platform.MachineID(v)
 			if !e.admissible(id, mv) {
@@ -791,13 +735,7 @@ func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 			if scores != nil && scores[v] >= screenMargin(bestP) {
 				continue // destination load alone already rejects the move
 			}
-			e.probes++
-			if e.relocTrialRejected(id, mv, screenMargin(bestP)) {
-				continue
-			}
-			e.relocate(id, mv)
-			consider(e.ev.Period(), steepestMove{kind: 1, i: id, v: mv})
-			e.relocate(id, u)
+			consider(move{kind: relocateMove, i: id, v: mv})
 		}
 	}
 	for i := 0; i < n && e.budgetLeft(); i++ {
@@ -812,45 +750,26 @@ func (e *engine) descendSteepest(cur float64, res *Result) (float64, bool) {
 			if e.swapRejected(a, b, screenMargin(bestP)) {
 				continue
 			}
-			e.probes++
-			if e.swapTrialRejected(a, b, screenMargin(bestP)) {
-				continue
-			}
-			e.swap(a, b)
-			consider(e.ev.Period(), steepestMove{kind: 2, i: a, j: b})
-			e.swap(a, b)
+			consider(move{kind: swapMove, i: a, j: b})
 		}
 	}
 	for u := 0; u < m && e.budgetLeft(); u++ {
-		if !e.candidateGroup(platform.MachineID(u)) {
+		mu := platform.MachineID(u)
+		if !e.candidateGroup(mu) {
 			continue
 		}
 		for v := 0; v < m && e.budgetLeft(); v++ {
-			mu, mv := platform.MachineID(u), platform.MachineID(v)
+			mv := platform.MachineID(v)
 			if !e.groupAdmissible(mu, mv) {
 				continue
 			}
-			e.probes++
-			if e.groupTrialRejected(mu, mv, screenMargin(bestP)) {
-				continue
-			}
-			moved := e.moveGroup(mu, mv)
-			consider(e.ev.Period(), steepestMove{kind: 3, u: mu, v: mv})
-			for _, i := range moved {
-				e.relocate(i, mu)
-			}
+			consider(move{kind: groupMove, u: mu, v: mv})
 		}
 	}
-	switch best.kind {
-	case 0:
+	if !found {
 		return cur, false
-	case 1:
-		e.relocate(best.i, best.v)
-	case 2:
-		e.swap(best.i, best.j)
-	case 3:
-		e.moveGroup(best.u, best.v)
 	}
+	e.apply(best)
 	res.Accepted++
 	return e.ev.Period(), true
 }
@@ -888,22 +807,18 @@ func Anneal(in *core.Instance, seed *core.Mapping, rng *rand.Rand, opt Options) 
 	// Decay to T0/1000 over the run: cool^iters = 1e-3.
 	cool := math.Exp(math.Log(1e-3) / float64(iters))
 	for it := 0; it < iters && e.budgetLeft(); it++ {
-		p, applied, undo := e.proposeRandom(rng, annealKinds[rng.Intn(len(annealKinds))], n, m)
-		if !applied {
-			temp *= cool
-			continue
-		}
-		e.probes++
-		delta := p - cur
-		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-			cur = p
-			res.Accepted++
-			if cur < bestP-improveEps(bestP) {
-				bestP = cur
-				bestMap = e.ev.Mapping()
+		mv, p, ok := e.proposeRandom(rng, annealKinds[rng.Intn(len(annealKinds))], n, m)
+		if ok {
+			e.probes++
+			if delta := p - cur; delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+				e.apply(mv)
+				cur = e.ev.Period()
+				res.Accepted++
+				if cur < bestP-improveEps(bestP) {
+					bestP = cur
+					bestMap = e.ev.Mapping()
+				}
 			}
-		} else {
-			undo()
 		}
 		temp *= cool
 	}
@@ -921,8 +836,8 @@ func Anneal(in *core.Instance, seed *core.Mapping, rng *rand.Rand, opt Options) 
 // temperature then tracks the seed's own period scale: figures whose
 // periods differ by orders of magnitude all start around the same uphill
 // acceptance ratio, which is what lets `-polish anneal` run without
-// per-figure budget tweaking. Every sampled probe is reverted and the
-// sample draws from the caller's RNG stream, so runs stay deterministic
+// per-figure budget tweaking. Every sampled probe is priced read-only and
+// the sample draws from the caller's RNG stream, so runs stay deterministic
 // per stream; the sample is calibration, not search, and is not counted
 // against the probe budget. With no uphill neighbor in the sample (a
 // plateau) it falls back to the legacy 5% of the seed period.
@@ -934,13 +849,8 @@ func calibrateT0(e *engine, rng *rand.Rand, n, m int, cur float64) float64 {
 	var sum float64
 	ups := 0
 	for s := 0; s < samples; s++ {
-		p, applied, undo := e.proposeRandom(rng, annealKinds[rng.Intn(len(annealKinds))], n, m)
-		if !applied {
-			continue
-		}
-		undo()
-		if d := p - cur; d > 0 {
-			sum += d
+		if _, p, ok := e.proposeRandom(rng, annealKinds[rng.Intn(len(annealKinds))], n, m); ok && p > cur {
+			sum += p - cur
 			ups++
 		}
 	}
@@ -950,40 +860,26 @@ func calibrateT0(e *engine, rng *rand.Rand, n, m int, cur float64) float64 {
 	return (sum / float64(ups)) / math.Log(1/chi0)
 }
 
-// proposeRandom draws one random move of the given kind, applies it when
-// admissible, and returns the resulting period plus an undo closure.
-// applied is false when the draw was inadmissible (counts as a cooled
-// iteration).
-func (e *engine) proposeRandom(rng *rand.Rand, kind moveKind, n, m int) (p float64, applied bool, undo func()) {
+// proposeRandom draws one random move of the given kind and returns it
+// with its trial price. ok is false when the draw was inadmissible (counts
+// as a cooled iteration).
+func (e *engine) proposeRandom(rng *rand.Rand, kind moveKind, n, m int) (mv move, p float64, ok bool) {
+	mv.kind = kind
 	switch kind {
 	case swapMove:
-		i, j := app.TaskID(rng.Intn(n)), app.TaskID(rng.Intn(n))
-		if !e.swapAdmissible(i, j) {
-			return 0, false, nil
-		}
-		e.swap(i, j)
-		return e.ev.Period(), true, func() { e.swap(i, j) }
+		mv.i, mv.j = app.TaskID(rng.Intn(n)), app.TaskID(rng.Intn(n))
+		ok = e.swapAdmissible(mv.i, mv.j)
 	case groupMove:
-		u, v := platform.MachineID(rng.Intn(m)), platform.MachineID(rng.Intn(m))
-		if !e.groupAdmissible(u, v) {
-			return 0, false, nil
-		}
-		moved := append([]app.TaskID(nil), e.moveGroup(u, v)...)
-		return e.ev.Period(), true, func() {
-			for _, i := range moved {
-				e.relocate(i, u)
-			}
-		}
+		mv.u, mv.v = platform.MachineID(rng.Intn(m)), platform.MachineID(rng.Intn(m))
+		ok = e.groupAdmissible(mv.u, mv.v)
 	default: // relocate
-		i := app.TaskID(rng.Intn(n))
-		v := platform.MachineID(rng.Intn(m))
-		if !e.admissible(i, v) {
-			return 0, false, nil
-		}
-		u := e.ev.Machine(i)
-		e.relocate(i, v)
-		return e.ev.Period(), true, func() { e.relocate(i, u) }
+		mv.i, mv.v = app.TaskID(rng.Intn(n)), platform.MachineID(rng.Intn(m))
+		ok = e.admissible(mv.i, mv.v)
 	}
+	if !ok {
+		return mv, 0, false
+	}
+	return mv, e.price(mv), true
 }
 
 // Polish is the bounded post-pass entry point shared by the facade and

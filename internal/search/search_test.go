@@ -201,7 +201,7 @@ func TestAnnealEscapesLocalOptimum(t *testing.T) {
 }
 
 // TestMoveBookkeeping drives each move kind by hand on a tiny instance
-// and checks the rule bookkeeping survives apply/revert cycles.
+// and checks the rule bookkeeping survives kept and rejected probes.
 func TestMoveBookkeeping(t *testing.T) {
 	in, err := gen.Chain(gen.Default(10, 3, 5), gen.RNG(55))
 	if err != nil {
@@ -240,7 +240,7 @@ func TestMoveBookkeeping(t *testing.T) {
 		for v := 0; v < in.M(); v++ {
 			mv := platform.MachineID(v)
 			if e.admissible(id, mv) {
-				cur, _ = e.probeRelocate(id, mv, cur)
+				cur, _ = e.probe(move{kind: relocateMove, i: id, v: mv}, cur)
 				check(fmt.Sprintf("relocate T%d->M%d", i+1, v+1))
 			}
 		}
@@ -248,7 +248,7 @@ func TestMoveBookkeeping(t *testing.T) {
 	for i := 0; i < in.N(); i++ {
 		for j := i + 1; j < in.N(); j++ {
 			if e.swapAdmissible(app.TaskID(i), app.TaskID(j)) {
-				cur, _ = e.probeSwap(app.TaskID(i), app.TaskID(j), cur)
+				cur, _ = e.probe(move{kind: swapMove, i: app.TaskID(i), j: app.TaskID(j)}, cur)
 				check(fmt.Sprintf("swap T%d/T%d", i+1, j+1))
 			}
 		}
@@ -256,7 +256,7 @@ func TestMoveBookkeeping(t *testing.T) {
 	for u := 0; u < in.M(); u++ {
 		for v := 0; v < in.M(); v++ {
 			if e.groupAdmissible(platform.MachineID(u), platform.MachineID(v)) {
-				cur, _ = e.probeGroup(platform.MachineID(u), platform.MachineID(v), cur)
+				cur, _ = e.probe(move{kind: groupMove, u: platform.MachineID(u), v: platform.MachineID(v)}, cur)
 				check(fmt.Sprintf("group M%d->M%d", u+1, v+1))
 			}
 		}

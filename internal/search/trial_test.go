@@ -86,109 +86,81 @@ func trialCorpus(t testing.TB) []trialCase {
 	return out
 }
 
-// ledgerPeriod is the apply/read/revert probe the descents ran before the
-// read-only trial pricing, kept as the oracle: apply the move through the
-// engine's incremental evaluator, read its exact period, revert.
-func ledgerPeriod(e *engine, kind moveKind, i, j app.TaskID, u, v platform.MachineID) float64 {
-	switch kind {
+// ledgerPeriod is the apply/read/revert probe the search ran before it
+// decided probes on their read-only trial price, kept as the oracle: apply
+// the move through the engine's incremental evaluator, read its exact
+// period off the compensated ledger, revert.
+func ledgerPeriod(e *engine, mv move) float64 {
+	from := e.ev.Machine(mv.i)
+	group := append([]app.TaskID(nil), e.tasks[mv.u]...)
+	e.apply(mv)
+	p := e.ev.Period()
+	switch mv.kind {
 	case swapMove:
-		e.swap(i, j)
-		p := e.ev.Period()
-		e.swap(i, j)
-		return p
+		e.apply(mv) // a swap is its own inverse
 	case groupMove:
-		moved := append([]app.TaskID(nil), e.moveGroup(u, v)...)
-		p := e.ev.Period()
-		for _, t := range moved {
-			e.relocate(t, u)
+		for _, t := range group {
+			e.relocate(t, mv.u)
 		}
-		return p
 	default:
-		from := e.ev.Machine(i)
-		e.relocate(i, v)
-		p := e.ev.Period()
-		e.relocate(i, from)
-		return p
+		e.relocate(mv.i, from)
 	}
+	return p
 }
 
 // checkTrialWalk draws steps random admissible moves on e — relocates,
 // swaps (half of them between a task and one it feeds, transitively) and
-// group moves — and requires Evaluator.TrialMove to agree with the
-// ledger oracle within improveEps(cur)/4, a quarter of the acceptance
-// tolerance and half the trial screen's margin. Half the moves are kept
-// so the walk visits many states. It returns the largest gap relative to
-// the period and the number of moves checked.
+// group moves — and requires their trial price to agree with the ledger
+// oracle within improveEps(cur)/4, a quarter of the acceptance tolerance
+// and half the screens' margin. Half the moves are kept so the walk
+// visits many states. It returns the largest gap relative to the period
+// and the number of moves checked.
 func checkTrialWalk(t *testing.T, label string, e *engine, rng *rand.Rand, steps int) (worst float64, checked int) {
 	t.Helper()
 	n, m := e.in.N(), e.in.M()
 	for s := 0; s < steps; s++ {
-		var (
-			kind  moveKind
-			i, j  app.TaskID
-			u, v  platform.MachineID
-			moved []app.TaskID
-			dest  []platform.MachineID
-		)
+		var mv move
 		switch rng.Intn(3) {
 		case 0:
-			kind = relocateMove
-			i, v = app.TaskID(rng.Intn(n)), platform.MachineID(rng.Intn(m))
-			if !e.admissible(i, v) {
+			mv = move{kind: relocateMove, i: app.TaskID(rng.Intn(n)), v: platform.MachineID(rng.Intn(m))}
+			if !e.admissible(mv.i, mv.v) {
 				continue
 			}
-			moved, dest = []app.TaskID{i}, []platform.MachineID{v}
 		case 1:
-			kind = swapMove
-			i, j = app.TaskID(rng.Intn(n)), app.TaskID(rng.Intn(n))
+			mv = move{kind: swapMove, i: app.TaskID(rng.Intn(n)), j: app.TaskID(rng.Intn(n))}
 			if rng.Intn(2) == 0 {
 				// j downstream of i: i feeds j, so one prefix holds the other.
-				j = i
-				for hops := 1 + rng.Intn(4); hops > 0 && e.in.App.Successor(j) != app.NoTask; hops-- {
-					j = e.in.App.Successor(j)
+				mv.j = mv.i
+				for hops := 1 + rng.Intn(4); hops > 0 && e.in.App.Successor(mv.j) != app.NoTask; hops-- {
+					mv.j = e.in.App.Successor(mv.j)
 				}
 			}
-			if !e.swapAdmissible(i, j) {
+			if !e.swapAdmissible(mv.i, mv.j) {
 				continue
 			}
-			moved = []app.TaskID{i, j}
-			dest = []platform.MachineID{e.ev.Machine(j), e.ev.Machine(i)}
 		default:
-			kind = groupMove
-			u, v = platform.MachineID(rng.Intn(m)), platform.MachineID(rng.Intn(m))
-			if !e.groupAdmissible(u, v) {
+			mv = move{kind: groupMove, u: platform.MachineID(rng.Intn(m)), v: platform.MachineID(rng.Intn(m))}
+			if !e.groupAdmissible(mv.u, mv.v) {
 				continue
-			}
-			moved = append([]app.TaskID(nil), e.tasks[u]...)
-			dest = make([]platform.MachineID, len(moved))
-			for k := range dest {
-				dest[k] = v
 			}
 		}
 		cur := e.ev.Period()
-		trial := e.ev.TrialMove(moved, dest)
+		trial := e.price(mv)
 		if e.ev.Period() != cur {
 			t.Fatalf("%s step %d: TrialMove changed the period: %v -> %v", label, s, cur, e.ev.Period())
 		}
-		want := ledgerPeriod(e, kind, i, j, u, v)
+		want := ledgerPeriod(e, mv)
 		gap := math.Abs(trial - want)
 		if gap > improveEps(cur)/4 {
-			t.Fatalf("%s step %d (kind %d, T%d T%d M%d M%d): trial %v, ledger %v (gap %g > %g)",
-				label, s, kind, int(i)+1, int(j)+1, int(u)+1, int(v)+1, trial, want, gap, improveEps(cur)/4)
+			t.Fatalf("%s step %d (%+v): trial %v, ledger %v (gap %g > %g)",
+				label, s, mv, trial, want, gap, improveEps(cur)/4)
 		}
 		if r := gap / math.Max(1, want); r > worst {
 			worst = r
 		}
 		checked++
 		if rng.Intn(2) == 0 {
-			switch kind {
-			case swapMove:
-				e.swap(i, j)
-			case groupMove:
-				e.moveGroup(u, v)
-			default:
-				e.relocate(i, v)
-			}
+			e.apply(mv)
 		}
 	}
 	return worst, checked
@@ -266,41 +238,4 @@ func FuzzTrialMoves(f *testing.F) {
 		}
 		checkTrialWalk(t, "fuzz", e, rng, 60)
 	})
-}
-
-// TestTrialIdenticalToLedgerProbes pins that the trial screen changes
-// nothing but speed: HillClimb with it and with the apply/read/revert
-// oracle (the trial screen switched off) must return the same mapping,
-// probe count and acceptance count, with periods equal up to the ulp
-// drift reverted probes leave in the compensated sums. Both descent
-// flavors run as production runs them: first-improvement under the
-// campaigns' binding 2000-probe polish budget, and steepest with the
-// facade's four restarts.
-func TestTrialIdenticalToLedgerProbes(t *testing.T) {
-	oracle := func(e *engine) { e.trial = false }
-	for _, c := range trialCorpus(t) {
-		polish := Options{Rule: c.rule, FirstImprovement: true, MaxProbes: 2000}
-		ls := Options{Rule: c.rule, Restarts: 4, RestartSeed: gen.StringSeed("microfab/ls-restarts")}
-		for _, run := range []struct {
-			name string
-			opt  Options
-		}{{"polish", polish}, {"ls", ls}} {
-			label := c.name + "/" + run.name
-			a, err := HillClimb(c.in, c.seed, run.opt)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			b, err := hillClimb(c.in, c.seed, run.opt, oracle)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if a.Mapping.String() != b.Mapping.String() || a.Probes != b.Probes || a.Accepted != b.Accepted {
-				t.Fatalf("%s: trial probes diverged from the oracle:\n  trial  %v probes %d accepted %d (%v)\n  oracle %v probes %d accepted %d (%v)",
-					label, a.Period, a.Probes, a.Accepted, a.Mapping, b.Period, b.Probes, b.Accepted, b.Mapping)
-			}
-			if math.Abs(a.Period-b.Period) > 1e-12*math.Max(a.Period, b.Period) {
-				t.Fatalf("%s: periods differ beyond ulp drift: %v vs %v", label, a.Period, b.Period)
-			}
-		}
-	}
 }

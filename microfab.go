@@ -71,8 +71,8 @@ type (
 	// Evaluation is the period/throughput breakdown of a mapping.
 	Evaluation = core.Evaluation
 	// Evaluator is the stateful incremental evaluation engine
-	// (Assign/Unassign/Best, plus the native Swap/Relocate move kernels)
-	// used by the search loops.
+	// (Assign/Unassign/Best, plus TrialMove, which prices a local-search
+	// move read-only) used by the search loops.
 	Evaluator = core.Evaluator
 	// Rule selects the mapping constraint.
 	Rule = core.Rule
