@@ -224,69 +224,6 @@ func BenchmarkTrialAll(b *testing.B) {
 	}
 }
 
-// priceAllMultiMachineMajor is the machine-major sweep PriceAllMulti
-// deliberately does not use: outer loop over machines with the load hoisted,
-// inner loop striding the row-major inflation/time tables by m. Kept here as
-// the benchmark's losing comparison leg — same cells, same bits, worse
-// locality on every row longer than a cache line.
-func priceAllMultiMachineMajor(p *core.Pricer, infl, tim []float64, tasks []app.TaskID, demands []float64, out []float64) {
-	m := p.M()
-	for u := 0; u < m; u++ {
-		l := p.Load(platform.MachineID(u))
-		for t, i := range tasks {
-			at := int(i)*m + u
-			out[t*m+u] = l + (demands[t]*infl[at])*tim[at]
-		}
-	}
-}
-
-// BenchmarkPriceAllMulti measures the fused multi-task landing kernel (the
-// incremental exact bound's per-node rescan) against the loop of PriceAllAt
-// calls it replaces and against the machine-major sweep it rejected, pricing
-// the 12-task unplaced suffix of a mid-search partial assignment.
-func BenchmarkPriceAllMulti(b *testing.B) {
-	for _, m := range []int{8, 16} {
-		in, err := gen.Chain(gen.Default(24, 2, m), gen.RNG(7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := core.NewPricer(in)
-		order := in.App.ReverseTopological()
-		for d, i := range order[:len(order)/2] {
-			if err := p.Assign(i, platform.MachineID(d%m)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		tasks := append([]app.TaskID(nil), order[len(order)/2:]...)
-		demands := make([]float64, len(tasks))
-		for t := range demands {
-			demands[t] = 1 + float64(t)/7
-		}
-		out := make([]float64, len(tasks)*m)
-		b.Run(fmt.Sprintf("m%d/fused", m), func(b *testing.B) {
-			for bi := 0; bi < b.N; bi++ {
-				p.PriceAllMulti(tasks, demands, out)
-				benchSink += out[0]
-			}
-		})
-		b.Run(fmt.Sprintf("m%d/loop", m), func(b *testing.B) {
-			for bi := 0; bi < b.N; bi++ {
-				for t, i := range tasks {
-					p.PriceAllAt(i, demands[t], out[t*m:(t+1)*m])
-				}
-				benchSink += out[0]
-			}
-		})
-		infl, tim := core.InflationTable(in), core.TimeTable(in)
-		b.Run(fmt.Sprintf("m%d/machine-major", m), func(b *testing.B) {
-			for bi := 0; bi < b.N; bi++ {
-				priceAllMultiMachineMajor(p, infl, tim, tasks, demands, out)
-				benchSink += out[0]
-			}
-		})
-	}
-}
-
 // BenchmarkPriceAll is the Pricer-side twin: one batch pass versus m Trial
 // calls on a mid-search partial assignment.
 func BenchmarkPriceAll(b *testing.B) {

@@ -37,5 +37,5 @@ func (p *Pricer) Trial(i app.TaskID, u platform.MachineID) (float64, bool) {
 		return 0, false
 	}
 	xi := d * p.infl[int(i)*p.m+int(u)]
-	return p.load[u] + xi*p.tim[int(i)*p.m+int(u)], true
+	return p.load[u] + float64(xi*p.tim[int(i)*p.m+int(u)]), true
 }

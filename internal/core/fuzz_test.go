@@ -369,8 +369,10 @@ func FuzzSplitDelta(f *testing.F) {
 // the Evaluator.TrialAll row must be bit-equal to m Trial calls at every
 // partial state the script reaches, and a root-first Pricer walk steered by
 // the tape must find PriceAll bit-equal to m Pricer.Trial calls with Assign
-// landing on exactly the batch row's bits — the fuzz twin of
-// TestTrialAllDifferential and TestPriceAllDifferential.
+// landing on exactly the batch row's bits, and MinLandingAt equal to the
+// row's strict-< minimum over the cells each rule's penalty row admits —
+// the fuzz twin of TestTrialAllDifferential, TestPriceAllDifferential and
+// TestMinLandingAtBitEqual.
 func FuzzTrialAll(f *testing.F) {
 	f.Add([]byte("batch-kernels"))
 	f.Add([]byte{6, 5, 2, 1, 80, 90, 100, 110, 0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0})
@@ -411,6 +413,11 @@ func FuzzTrialAll(f *testing.F) {
 			checkPriceAllBitEqual(t, in, pr, fmt.Sprintf("pricer push %d", d))
 			if !pr.PriceAll(i, out) {
 				t.Fatalf("pricer push %d: demand of T%d unknown in root-first order", d, int(i)+1)
+			}
+			dem, _ := pr.Demand(i)
+			for _, rule := range []core.Rule{core.Specialized, core.OneToOne, core.GeneralRule} {
+				checkMinLandingAt(t, pr, i, dem, penaltyRow(in, pr, rule, in.App.Type(i)),
+					fmt.Sprintf("pricer push %d rule %v", d, rule))
 			}
 			u := platform.MachineID(p.intn(in.M()))
 			promised := out[u]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"microfab/internal/app"
 	"microfab/internal/platform"
@@ -24,7 +25,7 @@ import (
 //     split of internal/exact byte-identical for any worker count, and it is
 //     the one thing the ledger-backed Evaluator cannot offer (a compensated
 //     sum's last ulp depends on its charge/discharge history);
-//   - Assign and Unassign are branch-free O(1): one multiply-add, two saves,
+//   - Assign and Unassign are branch-free O(1): one multiply, one add, two saves,
 //     no ledger, no dirty list, no tree. The maximum is read in O(1) at any
 //     node (Max), against the Evaluator's O(log m)-amortized flush.
 //
@@ -224,61 +225,53 @@ func (p *Pricer) PriceAll(i app.TaskID, out []float64) bool {
 // PriceAllAt is PriceAll with an explicit downstream demand d, for callers
 // (the exact solver's bound) that price hypothetical demands rather than
 // the current one: out[u] = load[u] + (d·F(i,u))·w[i][u], the exact
-// floating-point expression of Trial and Assign.
+// floating-point expression of Trial and Assign. The float64 conversion
+// rounds the product before the add, so no target fuses the two into one
+// multiply-add and the cell bits match Assign's on every architecture.
 // A 4-wide manual unroll of this loop was tried and measured slower than
 // the range form (BenchmarkPriceAll m16: ~14 ns/op scalar vs ~16 unrolled):
 // ranging over inflRow already proves the bounds of every same-length row,
-// so the unroll only added code. The scalar loop stays; the fused
-// multi-task kernel below keeps the unroll because its longer trip counts
-// amortize it.
+// so the unroll only added code.
 func (p *Pricer) PriceAllAt(i app.TaskID, d float64, out []float64) {
 	base := int(i) * p.m
 	inflRow := p.infl[base : base+p.m]
 	timRow := p.tim[base : base+p.m]
 	load := p.load[:p.m]
+	out = out[:p.m]
 	for u, f := range inflRow {
-		out[u] = load[u] + (d*f)*timRow[u]
+		out[u] = load[u] + float64((d*f)*timRow[u])
 	}
 }
 
-// PriceAllMulti prices the landings of a whole slice of tasks in one fused
-// pass: for every t and every machine u it writes
+// MinLandingAt returns the cheapest landing of task i at downstream demand
+// d over the machines a penalty row admits, and the machine attaining it:
+// the strict-< first-of-equals minimum of
 //
-//	out[t·M + u] = load[u] + (demands[t]·F(tasks[t],u))·w[tasks[t]][u]
+//	load[u] + (d·F(i,u))·w[i][u] + pen[u]
 //
-// bit-equal to len(tasks) successive PriceAllAt calls (the per-cell
-// expression is identical and cells are independent, so the sweep order
-// cannot change a single bit). demands must have len(tasks) entries and out
-// len(tasks)·M. The exact solver's incremental bound is the intended
-// caller: it re-prices the stale subset of unplaced tasks per node through
-// one kernel call instead of one PriceAllAt call per task.
-//
-// The sweep is task-major — the inflation/time rows are row-major by task,
-// so this order walks both tables contiguously while the m-length load row
-// stays cache-hot across tasks; the machine-major order (load[u] hoisted,
-// table columns strided by M) loses on every row longer than a cache line
-// (see BenchmarkPriceAllMulti's machine-major comparison leg). The inner
-// loop is 4-wide unrolled like the scalar kernels.
-func (p *Pricer) PriceAllMulti(tasks []app.TaskID, demands []float64, out []float64) {
-	m := p.m
-	load := p.load[:m]
-	for t, i := range tasks {
-		d := demands[t]
-		base := int(i) * m
-		inflRow := p.infl[base : base+m]
-		timRow := p.tim[base : base+m]
-		row := out[t*m : t*m+m]
-		u := 0
-		for ; u+4 <= m; u += 4 {
-			row[u] = load[u] + (d*inflRow[u])*timRow[u]
-			row[u+1] = load[u+1] + (d*inflRow[u+1])*timRow[u+1]
-			row[u+2] = load[u+2] + (d*inflRow[u+2])*timRow[u+2]
-			row[u+3] = load[u+3] + (d*inflRow[u+3])*timRow[u+3]
-		}
-		for ; u < m; u++ {
-			row[u] = load[u] + (d*inflRow[u])*timRow[u]
+// with pen[u] ∈ {0, +Inf} marking u infeasible, or (+Inf, -1) when no
+// machine is admitted. Adding 0 is exact, so the value and the argmin are
+// bit-equal to a PriceAllAt row followed by a strict-< scan over the
+// pen[u] == 0 cells — the exact solver's lower bound fuses the two into
+// this one pass. pen must have length M.
+func (p *Pricer) MinLandingAt(i app.TaskID, d float64, pen []float64) (float64, int) {
+	base := int(i) * p.m
+	inflRow := p.infl[base : base+p.m]
+	timRow := p.tim[base : base+p.m]
+	load := p.load[:p.m]
+	pen = pen[:p.m]
+	// Every cell is +0, positive or +Inf (loads, demands, inflations and
+	// times are non-negative), and on such values the IEEE order is the
+	// order of the bit patterns as unsigned integers. Comparing the bits
+	// lets the compiler select with conditional moves instead of a
+	// data-dependent branch; the result is the float comparison's.
+	best, at := math.Float64bits(math.Inf(1)), -1
+	for u, f := range inflRow {
+		if v := math.Float64bits(load[u] + float64((d*f)*timRow[u]) + pen[u]); v < best {
+			best, at = v, u
 		}
 	}
+	return math.Float64frombits(best), at
 }
 
 // Assign sets a(i) = u, pricing exactly task i (its feeders are unassigned
@@ -307,7 +300,7 @@ func (p *Pricer) Assign(i app.TaskID, u platform.MachineID) error {
 	xi := d * p.infl[int(i)*p.m+int(u)]
 	p.savedLoad[i] = p.load[u]
 	p.savedMax[i] = p.max
-	nl := p.load[u] + xi*p.tim[int(i)*p.m+int(u)]
+	nl := p.load[u] + float64(xi*p.tim[int(i)*p.m+int(u)])
 	p.load[u] = nl
 	if nl > p.max {
 		p.max = nl

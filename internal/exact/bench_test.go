@@ -205,42 +205,3 @@ func BenchmarkAssignmentBound(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkBoundMaintenance pits the incremental bound engine against its
-// from-scratch ablation on the regime the auto gate enables it for: a
-// branchy in-tree (delta propagation fizzles within a small feeder
-// subtree) over wide machines (a landing re-price costs O(m), so at m=16
-// the cache hits pay for the delta bookkeeping). A fixed node cap makes
-// both modes explore the identical node set — the bound values are
-// bit-equal by contract — so the nodes/s delta isolates the maintenance
-// cost. Chain-shaped instances (the solve benchmarks above) route to the
-// from-scratch path instead: every assign there dirties the entire
-// suffix, and delta maintenance degenerates into the same sweep plus
-// logging (see incBoundAuto).
-func BenchmarkBoundMaintenance(b *testing.B) {
-	in, err := gen.InTree(gen.Default(14, 3, 16), 3, gen.RNG(9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cap = 150_000
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"incremental", Options{Rule: core.Specialized, MaxNodes: cap}},
-		{"from-scratch", Options{Rule: core.Specialized, MaxNodes: cap, DisableIncrementalBound: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var nodes int64
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				res, err := Solve(in, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += res.Nodes
-			}
-			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-		})
-	}
-}

@@ -20,6 +20,16 @@
 // Under the one-to-one rule a fourth relaxation, the bottleneck assignment
 // of unplaced tasks to free machines (relax.go), tops these off.
 //
+// The bound is recomputed at every node, but the ingredients that only
+// change when a task is placed are kept up to date on assign instead of
+// being rederived: the placed work per type sits in a per-depth stack
+// (placeWork), and the dedicated-machine counts and per-type feasibility
+// penalty rows are maintained by occupy/vacate (exact.go). Each is the
+// same additions and comparisons, in the same order, as the rederivation
+// it replaces, so the bound's bits are unchanged; bound_oracle_test.go
+// keeps the rederiving bound as the oracle. Every unplaced task's cheapest
+// feasible landing is one fused core.(*Pricer).MinLandingAt pass.
+//
 // Admissibility is fuzz-gated by FuzzExactBound against a brute-force
 // completion oracle.
 package exact
@@ -36,66 +46,56 @@ import (
 	"microfab/internal/platform"
 )
 
-// bounder holds the static ingredients of the per-node lower bound; it is
-// read-only after construction and shared by all workers.
+// bounder holds the static ingredients of the per-node lower bound, all
+// indexed by search-order position; it is read-only after construction
+// and shared by all workers.
 type bounder struct {
-	// minInfl[i] = min_u 1/(1-f[i][u]): the most optimistic inflation any
-	// machine offers task i.
-	minInfl []float64
-	// minCost[i] = min_u F(i,u)·w(i,u): the cheapest contribution task i
-	// can make to any machine, per unit of downstream demand.
-	minCost []float64
-	// pos[i] is task i's position in the search order.
-	pos []int
 	// succPos[k] is the order position of order[k]'s successor (-1 at a
 	// root). Reverse-topological order puts every successor earlier, so
-	// succPos[k] < k — the property the incremental demand sweep leans on.
+	// succPos[k] < k: the bound's demand sweep visits a task's successor
+	// before the task.
 	succPos []int
-	// minInflAt/minCostAt/typeAt re-index minInfl, minCost and the task
-	// type by order position: the incremental sweeps are position-indexed,
-	// and skipping the order[] indirection matters on their hot path.
+	// minInflAt[k] = min_u 1/(1-f[order[k]][u]): the most optimistic
+	// inflation any machine offers the task at position k.
 	minInflAt []float64
+	// minCostAt[k] = min_u F(i,u)·w(i,u) for i = order[k]: the cheapest
+	// contribution the task can make to any machine, per unit of
+	// downstream demand.
 	minCostAt []float64
 	typeAt    []app.TypeID
+	// tim is the instance's w[i][u] table (core.TimeTable), read by
+	// placeWork.
+	tim []float64
 }
 
 func newBounder(in *core.Instance, order []app.TaskID) *bounder {
 	n, m := in.N(), in.M()
-	b := &bounder{typeAt: make([]app.TypeID, n)}
-	floats := make([]float64, 4*n)
-	b.minInfl, floats = floats[:n:n], floats[n:]
-	b.minCost, floats = floats[:n:n], floats[n:]
-	b.minInflAt, floats = floats[:n:n], floats[n:]
-	b.minCostAt = floats
-	ints := make([]int, 2*n)
-	b.pos, b.succPos = ints[:n:n], ints[n:]
-	for i := 0; i < n; i++ {
-		id := app.TaskID(i)
+	b := &bounder{succPos: make([]int, n), typeAt: make([]app.TypeID, n), tim: core.TimeTable(in)}
+	floats := make([]float64, 2*n)
+	b.minInflAt, b.minCostAt = floats[:n:n], floats[n:]
+	pos := make([]int, n)
+	for k, i := range order {
+		pos[i] = k
+	}
+	for k, i := range order {
 		bestInfl, bestCost := math.Inf(1), math.Inf(1)
 		for u := 0; u < m; u++ {
 			mu := platform.MachineID(u)
-			infl := in.Failures.Inflation(id, mu)
+			infl := in.Failures.Inflation(i, mu)
 			if infl < bestInfl {
 				bestInfl = infl
 			}
-			if c := infl * in.Platform.Time(id, mu); c < bestCost {
+			if c := infl * in.Platform.Time(i, mu); c < bestCost {
 				bestCost = c
 			}
 		}
-		b.minInfl[i] = bestInfl
-		b.minCost[i] = bestCost
-	}
-	for k, i := range order {
-		b.pos[i] = k
-	}
-	for k, i := range order {
+		b.minInflAt[k] = bestInfl
+		b.minCostAt[k] = bestCost
 		if succ := in.App.Successor(i); succ == app.NoTask {
 			b.succPos[k] = -1
 		} else {
-			b.succPos[k] = b.pos[succ]
+			b.succPos[k] = pos[succ]
 		}
-		b.minInflAt[k] = b.minInfl[i]
-		b.minCostAt[k] = b.minCost[i]
 		b.typeAt[k] = in.App.Type(i)
 	}
 	return b
@@ -110,6 +110,21 @@ func newBounder(in *core.Instance, order []app.TaskID) *bounder {
 // ingredients (max load, cheapest landing) reproduce the DFS's own load
 // expressions term for term and need none.
 const sumSlack = 1 - 1e-12
+
+// placeWork pushes the placed-work stack after order[k] landed on machine
+// u (Specialized rule, bound on): row k+1 is row k plus x·w of the new
+// task on its type, so row k always holds the placed work per type of
+// order[0..k) — the same additions, in the same order, as re-summing the
+// placed prefix. Backtracking needs no undo: the row of a shallower depth
+// is never overwritten by a deeper one.
+func (s *searcher) placeWork(k int, i app.TaskID, u int) {
+	p := len(s.typeW)
+	prev := s.wAt[k*p : k*p+p]
+	next := s.wAt[k*p+p : k*p+2*p]
+	copy(next, prev)
+	ty := s.bnd.typeAt[k]
+	next[ty] = prev[ty] + float64(s.pr.X(i)*s.bnd.tim[int(i)*s.m+u])
+}
 
 // lowerBound returns an admissible lower bound on the period of any
 // completion of the current node (order[0..k) placed). O((n-k)·m) plus
@@ -127,24 +142,17 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 	if k == n || lb >= localBest || lb > sharedP {
 		return lb
 	}
-	b := s.bnd
+	b, m := s.bnd, s.m
 	spec := s.rule == core.Specialized
 	var total float64
 	if spec {
-		// Placed work per type: placed contributions are exact (x is final
-		// once the successor chain is placed) and only ever move between
-		// machines of the same dedicated type.
-		for t := range s.typeW {
-			s.typeW[t] = 0
-		}
-		for j := 0; j < k; j++ {
-			i := s.order[j]
-			c := s.pr.X(i) * s.in.Platform.Time(i, s.pr.Machine(i))
-			s.typeW[s.in.App.Type(i)] += c
-			total += c
-		}
+		// Placed contributions are exact (x is final once the successor
+		// chain is placed) and only ever move between machines of the same
+		// dedicated type; placeWork keeps their per-type sums.
+		p := len(s.typeW)
+		copy(s.typeW, s.wAt[k*p:k*p+p])
 	} else {
-		for u := 0; u < s.m; u++ {
+		for u := 0; u < m; u++ {
 			total += s.pr.Load(platform.MachineID(u))
 		}
 	}
@@ -155,85 +163,42 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 	// that is feasible *now* (completions only ever shrink the feasible
 	// set: dedications and one-to-one uses are never undone), so the
 	// cheapest landing — current load included — bounds the final period.
-	//
-	// In the default incremental mode the per-position ingredients (dlb,
-	// minLand, landArg) are already maintained under every assign/unassign
-	// (ibAssign/ibUnassign below), bit-identical to what the from-scratch
-	// branch would recompute; the walk only re-prices positions whose
-	// cached landing went stale, in fused PriceAllMulti batches of up to
-	// ibWindow, and accumulates the same sums in the same order — so both
-	// branches cross the early-exit thresholds at exactly the same j and
-	// the search trees are node-for-node identical.
+	// The penalty row of the task's type (one shared row outside the
+	// Specialized rule) masks the infeasible machines out of the landing
+	// minimum.
+	dlb, typeW, pen := s.dlb, s.typeW, s.pen[:m]
+	succPos, minInflAt, minCostAt, typeAt := b.succPos, b.minInflAt, b.minCostAt, b.typeAt
 	maxTask := 0.0
-	if s.inc {
-		if s.ibNPend > 0 {
-			s.ibApply()
-		}
-		dlb, minLand := s.dlb, s.minLand
-		minCostAt, typeAt := b.minCostAt, b.typeAt
-		scan := k
-		for j := k; j < n; j++ {
-			if j >= scan {
-				scan = s.ibRefresh(j, n)
-			}
-			c := dlb[j] * minCostAt[j]
-			total += c
-			if spec {
-				s.typeW[typeAt[j]] += c
-			}
-			if land := minLand[j]; land > maxTask {
-				maxTask = land
-				if maxTask >= localBest || maxTask > sharedP {
-					// Already enough to prune; the remaining ingredients
-					// could only raise the bound further. Positions past
-					// the last refresh window stay stale — and unread.
-					return maxTask
-				}
-			}
-		}
-	} else {
-		// Only a searcher with the one-to-one assignment bound allocates
-		// minLand/landArg in this mode (relax.go reads them).
-		track := s.minLand != nil
-		for j := k; j < n; j++ {
-			i := s.order[j]
-			var d float64
-			if succ := s.in.App.Successor(i); succ == app.NoTask {
-				d = 1
-			} else if sp := b.pos[succ]; sp < k {
-				d = s.pr.X(succ)
+	for j := k; j < n; j++ {
+		d := 1.0
+		if sp := succPos[j]; sp >= 0 {
+			if sp < k {
+				d = s.pr.X(s.order[sp])
 			} else {
-				d = s.dlb[sp] * b.minInfl[succ]
+				d = dlb[sp] * minInflAt[sp]
 			}
-			s.dlb[j] = d
-			c := d * b.minCost[i]
+		}
+		dlb[j] = d
+		c := float64(d * minCostAt[j])
+		if spec {
+			ty := int(typeAt[j])
+			typeW[ty] += c
+			pen = s.pen[ty*m : ty*m+m]
+		} else {
 			total += c
-			ty := s.in.App.Type(i)
-			if spec {
-				s.typeW[ty] += c
-			}
-			land := math.Inf(1)
-			landAt := -1
-			s.pr.PriceAllAt(i, d, s.land)
-			for u := 0; u < s.m; u++ {
-				if !s.feasible(u, ty) {
-					continue
-				}
-				if at := s.land[u]; at < land {
-					land, landAt = at, u
-				}
-			}
-			if track {
-				s.minLand[j] = land
-				s.landArg[j] = landAt
-			}
-			if land > maxTask {
-				maxTask = land
-				if maxTask >= localBest || maxTask > sharedP {
-					// Already enough to prune; the remaining ingredients could
-					// only raise the bound further.
-					return maxTask
-				}
+		}
+		land, at := s.pr.MinLandingAt(s.order[j], d, pen)
+		if s.landArg != nil {
+			// Only the one-to-one assignment bound allocates landArg; its
+			// collision filter reads it instead of re-pricing (relax.go).
+			s.landArg[j] = at
+		}
+		if land > maxTask {
+			maxTask = land
+			if maxTask >= localBest || maxTask > sharedP {
+				// Already enough to prune; the remaining ingredients could
+				// only raise the bound further.
+				return maxTask
 			}
 		}
 	}
@@ -244,18 +209,10 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 		// Machines already dedicated to a type stay dedicated, so the
 		// water-filling allocation floors each type at its current machine
 		// count.
-		for t := range s.ded {
-			s.ded[t] = 0
-		}
-		for u := 0; u < s.m; u++ {
-			if s.nOn[u] > 0 && s.spec[u] != noType {
-				s.ded[s.spec[u]]++
-			}
-		}
-		if wf := waterfill(s.typeW, s.ded, s.m, s.alloc) * sumSlack; wf > lb {
+		if wf := waterfill(typeW, s.ded, m, s.alloc, s.quot) * sumSlack; wf > lb {
 			lb = wf
 		}
-	} else if pk := total / float64(s.m) * sumSlack; pk > lb {
+	} else if pk := total / float64(m) * sumSlack; pk > lb {
 		lb = pk
 	}
 	if s.ab != nil {
@@ -268,282 +225,6 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 	return lb
 }
 
-// --- incremental bound state ---------------------------------------------
-//
-// One DFS assign perturbs the bound's per-position ingredients in exactly
-// two narrow ways: the demand lower bounds change only along the assigned
-// task's feeder chains (dlb propagates successor-to-feeder in the
-// reverse-topological order), and one machine's load grows — monotonically
-// — so a cached cheapest landing can only be invalidated when its argmin
-// machine is the touched one (any other machine's price is unchanged, and
-// the touched machine's price only grew, so a minimum attained elsewhere
-// stays a minimum, first-of-equals tie-break included) or when the
-// position's own demand changed. ibAssign records exactly those
-// invalidations; the re-pricing itself is deferred to the next lowerBound
-// walk (ibRefresh), which prices stale positions through the fused
-// PriceAllMulti kernel and — like the from-scratch loop — stops paying at
-// an early exit. Every mutation is logged with the overwritten values, so
-// ibUnassign restores the state bit-exactly in LIFO order, the same
-// discipline the Pricer applies to its loads.
-
-// ibEntry is one change-log record: the position touched and the exact
-// prior (dlb, minLand, landArg, stale) tuple to restore on unassign.
-type ibEntry struct {
-	j       int32
-	landArg int32
-	stale   bool
-	dlb     float64
-	minLand float64
-}
-
-// ibWindow is the refresh batch width: lowerBound's incremental walk
-// re-prices stale positions in fused batches of up to this many, so an
-// early exit over-prices at most ibWindow-1 positions beyond the exit
-// point while long fills still amortize the kernel call.
-const ibWindow = 8
-
-// incBoundMinM is the machine-count floor of the auto gate: re-pricing a
-// landing costs O(m), the bookkeeping a cache hit saves it with does not,
-// so below this width recomputing from scratch is simply cheaper
-// (measured crossover on in-tree instances: break-even near m=12, the
-// incremental engine ahead from m=16).
-const incBoundMinM = 12
-
-// incBoundForce bypasses the auto gate (not the explicit ablation flag) so
-// the differential tests exercise the incremental engine on instances the
-// gate would route to the from-scratch path.
-var incBoundForce = false
-
-// incBoundAuto reports whether the delta-maintained bound state is expected
-// to pay for itself on this instance. One DFS assign dirties the demand
-// lower bounds of exactly the assigned task's feeder subtree, so the
-// average subtree size is the engine's per-node delta cost — and on dense
-// feeder forests (a chain is the worst case: every assign dirties the whole
-// suffix) delta maintenance degenerates into the from-scratch sweep plus
-// logging. The gate enables the engine when the average dirtied fraction is
-// at most a third of the instance and machines are wide enough that the
-// saved re-pricing outweighs the bookkeeping. Both modes compute
-// bit-identical bounds, so the choice never changes a search result — only
-// how fast it is reached.
-func incBoundAuto(in *core.Instance, order []app.TaskID) bool {
-	if in.M() < incBoundMinM {
-		return false
-	}
-	n := len(order)
-	sz := make([]int, n)
-	for i := range sz {
-		sz[i] = 1
-	}
-	total := 0
-	// order is reverse topological (successors first), so walking it
-	// backwards visits every feeder before its successor: sz accumulates
-	// complete feeder-subtree sizes bottom-up.
-	for k := n - 1; k >= 0; k-- {
-		i := order[k]
-		total += sz[i]
-		if succ := in.App.Successor(i); succ != app.NoTask {
-			sz[succ] += sz[i]
-		}
-	}
-	return 3*total <= n*n
-}
-
-// initIncBound seeds the cached ingredients for the empty assignment: the
-// demand lower bounds are filled eagerly (O(n) arithmetic, no pricing) and
-// every landing starts stale, so the first lowerBound walk prices them on
-// demand — and an early exit there skips the tail exactly like every later
-// node does. No searcher ever pays for landings its bounds never read.
-func (s *searcher) initIncBound() {
-	b := s.bnd
-	n := len(s.order)
-	for j := 0; j < n; j++ {
-		if sp := b.succPos[j]; sp < 0 {
-			s.dlb[j] = 1
-		} else {
-			s.dlb[j] = s.dlb[sp] * b.minInflAt[sp]
-		}
-		s.landArg[j] = -1
-		s.ibStale[j] = true
-	}
-}
-
-// ibAssign records that order[k] landed on machine u. The delta sweep
-// itself is deferred until a bound walk needs the cached state (ibApply):
-// a leaf assign, or one whose child bound exits on the current maximum
-// alone, then costs O(1) instead of O(n-k) — and in a DFS tree the deepest
-// levels are most of the nodes.
-func (s *searcher) ibAssign(k, u int) {
-	s.ibPendK[s.ibNPend] = k
-	s.ibPendU[s.ibNPend] = u
-	s.ibNPend++
-}
-
-// ibApply drains the deferred assigns in frame order, bringing dlb and the
-// staleness marks up to date with the pricer. Called by lowerBound before
-// its incremental walk reads any cached ingredient.
-func (s *searcher) ibApply() {
-	for p := 0; p < s.ibNPend; p++ {
-		s.ibApplyOne(s.ibPendK[p], s.ibPendU[p])
-	}
-	s.ibNPend = 0
-}
-
-// ibApplyOne is the delta sweep for one recorded assign (pricer and rule
-// bookkeeping already updated): one ascending pass over the unplaced
-// positions updates every dlb the assign changed and marks the positions
-// whose cached landing can no longer be trusted. No pricing work at all —
-// that is deferred further, to ibRefresh.
-func (s *searcher) ibApplyOne(k, u int) {
-	s.ibMark[k] = len(s.ibLog)
-	s.ibGen++
-	gen := s.ibGen
-	s.ibPrevGen[k] = s.ibOpenGen
-	s.ibOpenGen = gen
-	b := s.bnd
-	n := len(s.order)
-	xi := s.pr.X(s.order[k])
-	dlb, minLand, landArg := s.dlb, s.minLand, s.landArg
-	stale, stamp, logStamp := s.ibStale, s.ibStamp, s.ibLogStamp
-	succPos, minInflAt := b.succPos, b.minInflAt
-	for j := k + 1; j < n; j++ {
-		nd := dlb[j]
-		if sp := succPos[j]; sp == k {
-			// The successor was just placed: the optimistic product
-			// becomes the exact x.
-			nd = xi
-		} else if sp > k && stamp[sp] == gen {
-			// The successor's own dlb changed earlier in this sweep
-			// (ascending j visits sp < j first); recompute from it.
-			nd = dlb[sp] * minInflAt[sp]
-		}
-		if nd != dlb[j] {
-			s.ibLog = append(s.ibLog, ibEntry{j: int32(j), landArg: int32(landArg[j]),
-				stale: stale[j], dlb: dlb[j], minLand: minLand[j]})
-			logStamp[j] = gen
-			dlb[j] = nd
-			stamp[j] = gen
-			stale[j] = true
-			continue
-		}
-		// Demand bit-unchanged: propagation legitimately stops here (any
-		// downstream recomputation would reproduce the cached bits), and
-		// the landing survives unless its argmin is the touched machine.
-		// A stale position's cached argmin may be outdated, but stale
-		// already means "re-price before trusting" — nothing to add.
-		if !stale[j] && landArg[j] == u {
-			s.ibLog = append(s.ibLog, ibEntry{j: int32(j), landArg: int32(landArg[j]),
-				stale: false, dlb: dlb[j], minLand: minLand[j]})
-			logStamp[j] = gen
-			stale[j] = true
-		}
-	}
-}
-
-// ibUnassign reverts ibAssign(k, ·). If that assign is still pending (no
-// bound walk needed the cache while the frame was open — a leaf, or a child
-// pruned on its current maximum alone), reverting is dropping the record.
-// Otherwise it pops the change log back to the watermark ibApplyOne set,
-// restoring every touched tuple to its exact prior bits (reverse order: a
-// position logged twice — assign dirty, then lazy refresh — ends on its
-// assign-time value).
-func (s *searcher) ibUnassign(k int) {
-	if s.ibNPend > 0 && s.ibPendK[s.ibNPend-1] == k {
-		s.ibNPend--
-		return
-	}
-	mark := s.ibMark[k]
-	dlb, minLand, landArg, stale := s.dlb, s.minLand, s.landArg, s.ibStale
-	for e := len(s.ibLog) - 1; e >= mark; e-- {
-		en := &s.ibLog[e]
-		dlb[en.j] = en.dlb
-		minLand[en.j] = en.minLand
-		landArg[en.j] = int(en.landArg)
-		stale[en.j] = en.stale
-	}
-	s.ibLog = s.ibLog[:mark]
-	s.ibOpenGen = s.ibPrevGen[k]
-}
-
-// ibRefresh re-prices the stale positions in the window [from, from+ibWindow)
-// (clamped to n) and returns the window end: every position below it is
-// trusted afterwards. Refreshes run inside lowerBound, after the node's
-// ibAssign, so the log entries they append belong to the innermost open
-// frame and are restored by its ibUnassign.
-func (s *searcher) ibRefresh(from, n int) int {
-	hi := from + ibWindow
-	if hi > n {
-		hi = n
-	}
-	stale := s.ibStale
-	cnt := 0
-	for j := from; j < hi; j++ {
-		if stale[j] {
-			s.ibPos[cnt] = j
-			cnt++
-		}
-	}
-	switch cnt {
-	case 0:
-	case 1:
-		// One stale landing: the fused kernel would price a batch of one;
-		// PriceAllAt computes the same row bits without the batch setup.
-		j := s.ibPos[0]
-		s.pr.PriceAllAt(s.order[j], s.dlb[j], s.land)
-		s.ibStore(j, s.land)
-	default:
-		s.ibRescan(s.ibPos[:cnt])
-	}
-	return hi
-}
-
-// ibRescan recomputes the cached cheapest landing of the given order
-// positions from the current loads and feasibility in one fused
-// PriceAllMulti pass.
-func (s *searcher) ibRescan(pos []int) {
-	tasks := s.ibTasks[:len(pos)]
-	dem := s.ibDem[:len(pos)]
-	dlb, order := s.dlb, s.order
-	for t, j := range pos {
-		tasks[t] = order[j]
-		dem[t] = dlb[j]
-	}
-	out := s.ibOut[:len(pos)*s.m]
-	s.pr.PriceAllMulti(tasks, dem, out)
-	for t, j := range pos {
-		s.ibStore(j, out[t*s.m:(t+1)*s.m])
-	}
-}
-
-// ibStore logs (once per open frame) and installs position j's re-priced
-// landing row: the same ascending strict-< feasible argmin scan as the
-// from-scratch loop — bit-equal cells, so the first-of-equals tie-break
-// lands on the same machine.
-func (s *searcher) ibStore(j int, row []float64) {
-	if s.ibOpenGen != 0 && s.ibLogStamp[j] != s.ibOpenGen {
-		// Not yet logged in the innermost open frame (gen 0 means none is
-		// open — a root pass needs no restore): save the pre-frame tuple.
-		// A position the frame's ibAssign already logged restores through
-		// that entry instead.
-		s.ibLog = append(s.ibLog, ibEntry{j: int32(j), landArg: int32(s.landArg[j]),
-			stale: true, dlb: s.dlb[j], minLand: s.minLand[j]})
-		s.ibLogStamp[j] = s.ibOpenGen
-	}
-	ty := s.bnd.typeAt[j]
-	land := math.Inf(1)
-	landAt := -1
-	for u := 0; u < s.m; u++ {
-		if !s.feasible(u, ty) {
-			continue
-		}
-		if at := row[u]; at < land {
-			land, landAt = at, u
-		}
-	}
-	s.minLand[j] = land
-	s.landArg[j] = landAt
-	s.ibStale[j] = false
-}
-
 // waterfill returns min over integer machine allocations
 // {k_t >= max(1, ded[t]) for W[t] > 0, Σ k_t <= m} of max_t W[t]/k_t — the
 // best period a Specialized mapping could reach if every type's work were
@@ -551,23 +232,21 @@ func (s *searcher) ibStore(j int, row []float64) {
 // floors alone exceed m (infeasible: some remaining type can never get a
 // machine). Greedily handing each spare machine to the currently worst
 // type is optimal: per-machine relief W/k - W/(k+1) is decreasing in k,
-// the classic minimax allocation.
-func waterfill(W []float64, ded []int, m int, alloc []int) float64 {
+// the classic minimax allocation. quot caches each type's W[t]/k_t (-1
+// for a type with no work, which never wins a comparison), so each
+// machine handed out costs one division.
+func waterfill(W []float64, ded []int, m int, alloc []int, quot []float64) float64 {
 	floor := 0
-	any := false
 	for t, w := range W {
 		if w > 0 {
-			any = true
-			alloc[t] = ded[t]
-			if alloc[t] < 1 {
-				alloc[t] = 1
-			}
+			alloc[t] = max(ded[t], 1)
 			floor += alloc[t]
+			quot[t] = w / float64(alloc[t])
 		} else {
-			alloc[t] = 0
+			quot[t] = -1
 		}
 	}
-	if !any {
+	if floor == 0 {
 		return 0
 	}
 	if floor > m {
@@ -575,23 +254,18 @@ func waterfill(W []float64, ded []int, m int, alloc []int) float64 {
 	}
 	for extra := m - floor; extra > 0; extra-- {
 		worst, at := -1.0, -1
-		for t, w := range W {
-			if w <= 0 {
-				continue
-			}
-			if v := w / float64(alloc[t]); v > worst {
-				worst, at = v, t
+		for t, q := range quot {
+			if q > worst {
+				worst, at = q, t
 			}
 		}
 		alloc[at]++
+		quot[at] = W[at] / float64(alloc[at])
 	}
 	worst := 0.0
-	for t, w := range W {
-		if w <= 0 {
-			continue
-		}
-		if v := w / float64(alloc[t]); v > worst {
-			worst = v
+	for _, q := range quot {
+		if q > worst {
+			worst = q
 		}
 	}
 	return worst

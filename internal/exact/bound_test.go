@@ -98,6 +98,7 @@ func TestBoundPreservesOptimum(t *testing.T) {
 // cases.
 func TestWaterfill(t *testing.T) {
 	alloc := make([]int, 4)
+	quot := make([]float64, 4)
 	cases := []struct {
 		W    []float64
 		ded  []int
@@ -121,7 +122,10 @@ func TestWaterfill(t *testing.T) {
 		{[]float64{5, 5}, []int{2, 2}, 3, math.Inf(1)},
 	}
 	for i, tc := range cases {
-		got := waterfill(tc.W, tc.ded, tc.m, alloc[:len(tc.W)])
+		got := waterfill(tc.W, tc.ded, tc.m, alloc[:len(tc.W)], quot[:len(tc.W)])
+		if want := oracleWaterfill(tc.W, tc.ded, tc.m, alloc[:len(tc.W)]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("case %d: waterfill = %v, uncached oracle %v", i, got, want)
+		}
 		if math.Abs(got-tc.want) > 1e-12 && !(math.IsInf(got, 1) && math.IsInf(tc.want, 1)) {
 			t.Errorf("case %d: waterfill(%v, ded %v, m=%d) = %v, want %v", i, tc.W, tc.ded, tc.m, got, tc.want)
 		}

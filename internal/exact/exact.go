@@ -29,7 +29,12 @@
 //     (relax.go; Options.DisableAssignBound ablates) — never exceeds the
 //     best completion of the node, so a node whose bound reaches the
 //     incumbent is pruned without visiting its subtree
-//     (Options.DisableBound ablates).
+//     (Options.DisableBound ablates). The bound is evaluated at every
+//     node, but its ingredients that change only when a task is placed
+//     — placed work per type, dedicated-machine counts, per-type
+//     feasibility penalty rows — are kept up to date on assign, and
+//     every unplaced task's cheapest landing is one fused
+//     core.(*Pricer).MinLandingAt pass.
 //   - A best-first child order plus a greedy restart dive: before the
 //     systematic pass, one un-metered greedy descent (take the feasible
 //     machine with the smallest resulting load at every depth — the H4
@@ -147,12 +152,11 @@ type Options struct {
 	//
 	// Deprecated: no effect; kept so existing callers compile.
 	DisableLPBound bool
-	// DisableIncrementalBound makes every node recompute the lower bound's
-	// demand and landing ingredients from scratch instead of maintaining
-	// them as deltas under each assign/unassign (bound.go). The search is
-	// node-for-node identical either way — the incremental state reproduces
-	// the from-scratch values bit for bit — so this exists purely as the
-	// ablation lever and the differential-test oracle.
+	// DisableIncrementalBound ablated a delta-maintained variant of the
+	// lower bound that has been removed; the remaining bound computes the
+	// same bits, so the search tree does not depend on this field.
+	//
+	// Deprecated: no effect; kept so existing callers compile.
 	DisableIncrementalBound bool
 	// DisableOrder turns the best-first child order and the greedy restart
 	// dive off — children branch in ascending machine order like the
@@ -204,7 +208,6 @@ type solver struct {
 	noSym    bool
 	noOrder  bool
 	noAssign bool
-	noInc    bool
 	bnd      *bounder
 	bud      *budget
 
@@ -261,55 +264,27 @@ type searcher struct {
 	frames []frame
 
 	bnd *bounder // nil = bound pruning disabled
+	// Bound ingredients kept up to date on assign (bound.go), allocated
+	// only with the bound on. pen holds the feasibility penalty rows the
+	// landing minimum adds (0 feasible, +Inf not): one row per type under
+	// the Specialized rule, one shared row otherwise (all zeros under
+	// General). ded counts the machines dedicated to each type
+	// (Specialized). occupy/vacate maintain both. wAt is the per-depth
+	// placed-work stack (row k: the work per type of order[0..k)), pushed
+	// by placeWork (Specialized).
+	pen []float64
+	ded []int
+	wAt []float64
 	// bound scratch (see lowerBound): demand lower bounds per order
-	// position, per-type work, dedicated-machine counts, water-filling
-	// allocation.
+	// position, per-type work, water-filling allocation and quotients.
 	dlb   []float64
 	typeW []float64
-	ded   []int
 	alloc []int
-
-	// minLand/landArg record, per order position, each unplaced task's
-	// cheapest feasible landing and the machine attaining it (-1 none).
-	// In the default incremental mode (inc) they are allocated up front and
-	// maintained as deltas alongside dlb (bound.go); in the from-scratch
-	// ablation they are filled by lowerBound's main loop and allocated only
-	// for the one-to-one assignment bound, whose collision filter reads
-	// them instead of re-pricing (relax.go).
-	minLand []float64
+	quot  []float64
+	// landArg records, per order position, each unplaced task's cheapest
+	// feasible landing machine (-1 none). Allocated only for the one-to-one
+	// assignment bound, whose collision filter reads it (relax.go).
 	landArg []int
-
-	// Incremental bound state (bound.go): when inc is set, dlb, minLand and
-	// landArg are maintained under every assign/unassign instead of being
-	// rederived per node. ibPendK/ibPendU/ibNPend defer the per-assign delta
-	// sweep until a bound walk actually reads the cache, so assigns whose
-	// frame never computes a bound (leaves, max-load prunes) cost O(1).
-	// ibLog/ibMark give the cached arrays the same save-and-restore LIFO
-	// discipline the Pricer gives its loads; ibStale marks positions whose
-	// landing must be re-priced before it is trusted (re-priced lazily,
-	// inside lowerBound, so early-pruned nodes never pay for it);
-	// ibStamp/ibGen mark the positions whose dlb changed during one delta
-	// sweep; ibPos/ibTasks/ibDem/ibOut are the fused-rescan scratch handed
-	// to Pricer.PriceAllMulti.
-	// ibLogStamp/ibPrevGen/ibOpenGen dedup the log to one entry per
-	// (frame, position): the first mutation in a frame logs the pre-frame
-	// tuple, later ones in the same frame restore through it for free.
-	inc        bool
-	ibLog      []ibEntry
-	ibMark     []int
-	ibStale    []bool
-	ibStamp    []int
-	ibGen      int
-	ibLogStamp []int
-	ibPrevGen  []int
-	ibOpenGen  int
-	ibPendK    []int
-	ibPendU    []int
-	ibNPend    int
-	ibPos      []int
-	ibTasks    []app.TaskID
-	ibDem      []float64
-	ibOut      []float64
 
 	// ab is the one-to-one bottleneck-assignment bound's workspace
 	// (relax.go); nil under the other rules or when the bound is ablated.
@@ -402,7 +377,6 @@ func newSolver(in *core.Instance, opts Options) (*solver, error) {
 		noSym:      opts.DisableDominance,
 		noOrder:    opts.DisableOrder,
 		noAssign:   opts.DisableAssignBound,
-		noInc:      opts.DisableIncrementalBound,
 		bud:        newBudget(opts),
 		onImprove:  opts.OnImprove,
 		injector:   opts.BoundInjector,
@@ -410,12 +384,6 @@ func newSolver(in *core.Instance, opts Options) (*solver, error) {
 	}
 	if !opts.DisableBound {
 		sv.bnd = newBounder(in, sv.order)
-	}
-	if !sv.noInc && !incBoundForce && !incBoundAuto(in, sv.order) {
-		// The structure says delta maintenance will not pay for itself
-		// here; both modes are bit-identical, so this only picks the
-		// faster path.
-		sv.noInc = true
 	}
 	if opts.Incumbent != nil {
 		if err := opts.Incumbent.CheckRule(in.App, opts.Rule); err == nil {
@@ -556,12 +524,12 @@ func (sv *solver) newSearcher(shared *incumbent) *searcher {
 
 // makeSearcher builds a searcher; bound=false is the stripped variant
 // greedyDive uses — the dive never computes lowerBound, so it skips the
-// bound scratch and the incremental engine's init fill, which would
-// otherwise run on every Solve (the dive runs unconditionally). The dive
-// donates its pristine searcher back through sv.spare, so a sequential
-// Solve builds the rule/pricer state once, not twice; spare handoff is
-// single-goroutine (dive, then the enum/sequential searcher — both before
-// any worker goroutine starts).
+// bound scratch and the ingredients kept up to date on assign, which
+// would otherwise be allocated and maintained on every Solve (the dive
+// runs unconditionally). The dive donates its pristine searcher back
+// through sv.spare, so a sequential Solve builds the rule/pricer state
+// once, not twice; spare handoff is single-goroutine (dive, then the
+// enum/sequential searcher — both before any worker goroutine starts).
 func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 	n, m := sv.in.N(), sv.in.M()
 	s := sv.spare
@@ -603,46 +571,24 @@ func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 		return s
 	}
 	if s.bnd = sv.bnd; s.bnd != nil {
-		p := sv.in.P()
-		if sv.rule == core.OneToOne && !sv.noAssign {
-			s.ab = newAssignBound(m)
-		}
-		if !sv.noInc {
-			s.inc = true
-			// Typical logs stay small (one deduped entry per frame and
-			// position, and demand propagation usually fizzles fast); let
-			// append grow the rare deep search instead of zeroing an n²
-			// slab on every searcher build.
-			s.ibLog = make([]ibEntry, 0, 4*n)
-			ints := make([]int, 8*n+2*p) // one allocation for the ten int arrays
-			s.landArg, ints = ints[:n:n], ints[n:]
-			s.ibMark, ints = ints[:n:n], ints[n:]
-			s.ibStamp, ints = ints[:n:n], ints[n:]
-			s.ibLogStamp, ints = ints[:n:n], ints[n:]
-			s.ibPrevGen, ints = ints[:n:n], ints[n:]
-			s.ibPendK, ints = ints[:n:n], ints[n:]
-			s.ibPendU, ints = ints[:n:n], ints[n:]
-			s.ibPos, ints = ints[:n:n], ints[n:]
-			s.ded, ints = ints[:p:p], ints[p:]
-			s.alloc = ints
-			floats := make([]float64, 3*n+n*m+p)
+		// The searcher is pristine here (fresh, or the unwound dive), so
+		// zeroed penalty rows and counts are up to date.
+		if sv.rule == core.Specialized {
+			p := sv.in.P()
+			floats := make([]float64, n+(n+3)*p+p*m)
 			s.dlb, floats = floats[:n:n], floats[n:]
-			s.minLand, floats = floats[:n:n], floats[n:]
-			s.ibDem, floats = floats[:n:n], floats[n:]
-			s.ibOut, floats = floats[:n*m:n*m], floats[n*m:]
-			s.typeW = floats
-			s.ibStale = make([]bool, n)
-			s.ibTasks = make([]app.TaskID, n)
-			s.initIncBound()
-		} else {
+			s.wAt, floats = floats[:(n+1)*p:(n+1)*p], floats[(n+1)*p:]
+			s.typeW, floats = floats[:p:p], floats[p:]
+			s.quot, s.pen = floats[:p:p], floats[p:]
 			ints := make([]int, 2*p)
 			s.ded, s.alloc = ints[:p:p], ints[p:]
-			floats := make([]float64, n+p)
-			s.dlb, s.typeW = floats[:n:n], floats[n:]
-			if s.ab != nil {
-				s.minLand = make([]float64, n)
-				s.landArg = make([]int, n)
-			}
+		} else {
+			floats := make([]float64, n+m)
+			s.dlb, s.pen = floats[:n:n], floats[n:]
+		}
+		if sv.rule == core.OneToOne && !sv.noAssign {
+			s.ab = newAssignBound(m)
+			s.landArg = make([]int, n)
 		}
 	}
 	return s
@@ -689,19 +635,15 @@ func (s *searcher) dfs(k int) {
 		s.used[c.u] = true
 		s.occupy(int(c.u))
 		_ = s.pr.Assign(i, c.u)
-		if s.inc {
-			// After the pricer and the rule bookkeeping: the delta sweep
-			// reads the new x[i], load and feasibility (bound.go).
-			s.ibAssign(k, int(c.u))
+		if s.wAt != nil {
+			s.placeWork(k, i, int(c.u))
 		}
 
 		s.dfs(k + 1)
 
-		// Revert (the pricer restores the load and maximum bits itself).
+		// Revert (the pricer restores the load and maximum bits itself;
+		// the placed-work stack needs no undo).
 		s.pr.Unassign(i)
-		if s.inc {
-			s.ibUnassign(k)
-		}
 		s.vacate(int(c.u))
 		s.spec[c.u], s.used[c.u] = prevSpec, prevUsed
 		if s.meter.stopped() {
@@ -794,6 +736,9 @@ func (s *searcher) dominated(u int) bool {
 func (s *searcher) occupy(u int) {
 	s.nOn[u]++
 	if s.nOn[u] == 1 {
+		if s.pen != nil {
+			s.claim(u)
+		}
 		c := s.classOf[u]
 		if s.firstEmpty[c] == u {
 			fe := s.m
@@ -812,10 +757,49 @@ func (s *searcher) occupy(u int) {
 func (s *searcher) vacate(u int) {
 	s.nOn[u]--
 	if s.nOn[u] == 0 {
+		if s.pen != nil {
+			s.release(u)
+		}
 		c := s.classOf[u]
 		if u < s.firstEmpty[c] {
 			s.firstEmpty[c] = u
 		}
+	}
+}
+
+// claim records that the empty machine u just took its first task (spec[u]
+// already names its type): under the Specialized rule u becomes dedicated
+// to that type and infeasible for every other, under one-to-one it is
+// used. The penalty rows and dedicated counts are then exactly the
+// feasible() filter and the count of occupied dedicated machines the
+// bound would otherwise rederive per node.
+func (s *searcher) claim(u int) {
+	switch s.rule {
+	case core.Specialized:
+		ty := int(s.spec[u])
+		s.ded[ty]++
+		inf := math.Inf(1)
+		for t := range s.ded {
+			if t != ty {
+				s.pen[t*s.m+u] = inf
+			}
+		}
+	case core.OneToOne:
+		s.pen[u] = math.Inf(1)
+	}
+}
+
+// release undoes claim when u's last task leaves (spec[u] not yet
+// restored).
+func (s *searcher) release(u int) {
+	switch s.rule {
+	case core.Specialized:
+		s.ded[s.spec[u]]--
+		for t := range s.ded {
+			s.pen[t*s.m+u] = 0
+		}
+	case core.OneToOne:
+		s.pen[u] = 0
 	}
 }
 
@@ -832,8 +816,8 @@ func (s *searcher) push(prefix []platform.MachineID) {
 		s.used[u] = true
 		s.occupy(u)
 		_ = s.pr.Assign(i, mu)
-		if s.inc {
-			s.ibAssign(j, u)
+		if s.wAt != nil {
+			s.placeWork(j, i, u)
 		}
 	}
 }
@@ -844,9 +828,6 @@ func (s *searcher) pop(prefix []platform.MachineID) {
 		mu := prefix[j]
 		u := int(mu)
 		s.pr.Unassign(s.order[j])
-		if s.inc {
-			s.ibUnassign(j)
-		}
 		s.vacate(u)
 		f := s.frames[j]
 		s.spec[u], s.used[u] = f.spec, f.used
