@@ -25,7 +25,7 @@ import (
 //     split of internal/exact byte-identical for any worker count, and it is
 //     the one thing the ledger-backed Evaluator cannot offer (a compensated
 //     sum's last ulp depends on its charge/discharge history);
-//   - Assign and Unassign are branch-free O(1): one multiply, one add, two saves,
+//   - Assign and Unassign are branch-free O(1): one multiply-add, two saves,
 //     no ledger, no dirty list, no tree. The maximum is read in O(1) at any
 //     node (Max), against the Evaluator's O(log m)-amortized flush.
 //
