@@ -229,13 +229,13 @@ func (e *Evaluator) TrialAll(i app.TaskID, out []float64) bool {
 	row := out[:m]
 	u := 0
 	for ; u+4 <= m; u += 4 {
-		row[u] = (period[u] + comp[u]) + (inflRow[u]*d)*timRow[u]
-		row[u+1] = (period[u+1] + comp[u+1]) + (inflRow[u+1]*d)*timRow[u+1]
-		row[u+2] = (period[u+2] + comp[u+2]) + (inflRow[u+2]*d)*timRow[u+2]
-		row[u+3] = (period[u+3] + comp[u+3]) + (inflRow[u+3]*d)*timRow[u+3]
+		row[u] = (period[u] + comp[u]) + float64((inflRow[u]*d)*timRow[u])
+		row[u+1] = (period[u+1] + comp[u+1]) + float64((inflRow[u+1]*d)*timRow[u+1])
+		row[u+2] = (period[u+2] + comp[u+2]) + float64((inflRow[u+2]*d)*timRow[u+2])
+		row[u+3] = (period[u+3] + comp[u+3]) + float64((inflRow[u+3]*d)*timRow[u+3])
 	}
 	for ; u < m; u++ {
-		row[u] = (period[u] + comp[u]) + (inflRow[u]*d)*timRow[u]
+		row[u] = (period[u] + comp[u]) + float64((inflRow[u]*d)*timRow[u])
 	}
 	return true
 }
@@ -297,7 +297,7 @@ func (e *Evaluator) TrialMove(moved []app.TaskID, to []platform.MachineID) float
 			k := int(f.t)*m + int(v)
 			x := infl[k] * f.demand
 			delta[u] -= e.contrib[f.t]
-			delta[v] += x * tim[k]
+			delta[v] += float64(x * tim[k])
 			for _, p := range e.in.App.Predecessors(f.t) {
 				frames = append(frames, trialFrame{p, x})
 			}

@@ -87,7 +87,7 @@ func MachinePeriods(in *Instance, m *Mapping) ([]float64, error) {
 	for i := 0; i < in.N(); i++ {
 		id := app.TaskID(i)
 		u := m.Machine(id)
-		periods[u] += x[i] * in.Platform.Time(id, u)
+		periods[u] += float64(x[i] * in.Platform.Time(id, u))
 	}
 	return periods, nil
 }
@@ -117,7 +117,7 @@ func Evaluate(in *Instance, m *Mapping) (*Evaluation, error) {
 	for i := 0; i < in.N(); i++ {
 		id := app.TaskID(i)
 		u := m.Machine(id)
-		periods[u] += x[i] * in.Platform.Time(id, u)
+		periods[u] += float64(x[i] * in.Platform.Time(id, u))
 	}
 	ev := &Evaluation{
 		Period:         0,

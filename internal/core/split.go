@@ -109,7 +109,7 @@ func EvaluateSplit(in *Instance, s *SplitMapping) (*Evaluation, error) {
 		}
 		surv := 0.0
 		for u := 0; u < m; u++ {
-			surv += s.share[i][u] * in.Failures.Survival(i, platform.MachineID(u))
+			surv += float64(s.share[i][u] * in.Failures.Survival(i, platform.MachineID(u)))
 		}
 		if surv <= 0 {
 			return nil, fmt.Errorf("core: task T%d has no productive share", int(i)+1)
@@ -123,7 +123,7 @@ func EvaluateSplit(in *Instance, s *SplitMapping) (*Evaluation, error) {
 			if s.share[i][u] == 0 {
 				continue
 			}
-			periods[u] += s.share[i][u] * x[i] * in.Platform.Time(id, platform.MachineID(u))
+			periods[u] += float64(s.share[i][u] * x[i] * in.Platform.Time(id, platform.MachineID(u)))
 		}
 	}
 	ev := &Evaluation{MachinePeriods: periods, ProductCounts: x, Critical: platform.NoMachine}

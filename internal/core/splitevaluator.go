@@ -111,7 +111,7 @@ func (e *SplitEvaluator) checkRow(i app.TaskID, row []float64) error {
 func (e *SplitEvaluator) blendedSurvival(i app.TaskID, row []float64) float64 {
 	s := 0.0
 	for u, v := range row {
-		s += v * e.in.Failures.Survival(i, platform.MachineID(u))
+		s += float64(v * e.in.Failures.Survival(i, platform.MachineID(u)))
 	}
 	return s
 }

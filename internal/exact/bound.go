@@ -364,26 +364,25 @@ func (m *nodeMeter) release() {
 
 // --- cross-worker incumbent ----------------------------------------------
 
-// incumbent is the best complete solution found so far, shared across
-// workers: a lock-free period for the hot pruning reads plus a
-// mutex-guarded (period, mapping) pair for the final stopped-search
-// answer. Workers prune strictly (> rather than >=) against it so that a
-// subtree containing an optimum is never abandoned because a peer found an
-// equal solution first — the determinism lever of the root split.
+// incumbent is the best period found so far, shared across workers: a
+// lock-free value for the hot pruning reads, plus a mutex-guarded copy
+// that serialises the OnImprove stream. Workers prune strictly (> rather
+// than >=) against it so that a subtree containing an optimum is never
+// abandoned because a peer found an equal solution first — the
+// determinism lever of the root split. The answer itself never comes from
+// here: every searcher keeps its own best mapping, and Merge reduces them.
 type incumbent struct {
 	bits atomic.Uint64 // math.Float64bits of the best shared period
 
-	mu      sync.Mutex
-	period  float64
-	mapping *core.Mapping
-
-	// onImprove, when set, fires under mu every time the stored pair
-	// improves (Options.OnImprove — the serving layer's incumbent stream).
+	// onImprove, when set, fires under mu every time period improves
+	// (Options.OnImprove — the serving layer's incumbent stream).
+	mu        sync.Mutex
+	period    float64
 	onImprove func(float64, *core.Mapping)
 }
 
-func newIncumbent(period float64, mapping *core.Mapping) *incumbent {
-	inc := &incumbent{period: period, mapping: mapping}
+func newIncumbent(period float64) *incumbent {
+	inc := &incumbent{period: period}
 	inc.bits.Store(math.Float64bits(period))
 	return inc
 }
@@ -394,35 +393,28 @@ func (inc *incumbent) load() float64 {
 	return math.Float64frombits(inc.bits.Load())
 }
 
-// offer publishes a solution; the best one wins. mp must not be mutated
+// offer publishes a solution's period and streams it to OnImprove when it
+// improves on every solution offered so far. mp must not be mutated
 // afterwards (searchers always pass fresh Mapping snapshots).
 func (inc *incumbent) offer(p float64, mp *core.Mapping) {
-	for {
-		cur := inc.bits.Load()
-		if p >= math.Float64frombits(cur) {
-			break
-		}
-		if inc.bits.CompareAndSwap(cur, math.Float64bits(p)) {
-			break
-		}
+	inc.injectBound(p)
+	if inc.onImprove == nil {
+		return
 	}
 	inc.mu.Lock()
 	if p < inc.period {
-		inc.period, inc.mapping = p, mp
-		if inc.onImprove != nil {
-			inc.onImprove(p, mp)
-		}
+		inc.period = p
+		inc.onImprove(p, mp)
 	}
 	inc.mu.Unlock()
 }
 
-// injectBound lowers the lock-free pruning bound to p without publishing a
-// mapping — the external-incumbent lever of Options.BoundInjector. Only
-// the atomic bits move; the mutex-guarded (period, mapping) pair is
-// untouched, so a stopped search never reports an injected period it has
-// no mapping for, and OnImprove never fires for foreign solutions.
-// Pruning against the bits is strict, so an injected p that is a true
-// upper bound on the optimum never cuts an optimal subtree.
+// injectBound lowers the lock-free pruning bound to p — the
+// external-incumbent lever of Options.BoundInjector, and the first half of
+// offer. An injected period leaves the mutex-guarded copy untouched, so
+// OnImprove never fires for foreign solutions. Pruning against the bits
+// is strict, so an injected p that is a true upper bound on the optimum
+// never cuts an optimal subtree.
 func (inc *incumbent) injectBound(p float64) {
 	for {
 		cur := inc.bits.Load()
@@ -433,11 +425,4 @@ func (inc *incumbent) injectBound(p float64) {
 			return
 		}
 	}
-}
-
-// snapshot returns the best (period, mapping) pair observed so far.
-func (inc *incumbent) snapshot() (float64, *core.Mapping) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.period, inc.mapping
 }

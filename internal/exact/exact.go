@@ -50,9 +50,11 @@
 //     heuristic).
 //
 // Options.Workers > 1 runs the search as a parallel root split
-// (parallel.go): the assignment frontier is enumerated to a small depth and
+// (parallel.go): the assignment frontier is enumerated to a small depth,
 // the subtrees fan out over a worker pool sharing one atomic incumbent and
-// one atomic node budget, each worker owning a private core.Pricer.
+// one atomic node budget, each worker owning a private core.Pricer, and
+// Merge reduces their outcomes — the pipeline a fabric coordinator runs
+// across processes through Frontier, SolveSubtree and Merge (fabric.go).
 // Proven results are byte-identical for any worker count; only Result.Nodes
 // varies.
 package exact
@@ -168,8 +170,9 @@ type Options struct {
 	// split (0 or 1 = sequential; see parallel.go). Proven results are
 	// byte-identical for any worker count. A search stopped by MaxNodes
 	// keeps the global budget but may stop at a different incumbent than a
-	// sequential run; a search stopped by TimeLimit is wall-clock-dependent
-	// either way.
+	// sequential run (period ties between subtrees break in frontier
+	// order); a search stopped by TimeLimit is wall-clock-dependent either
+	// way.
 	Workers int
 }
 
@@ -478,16 +481,11 @@ func (sv *solver) greedyDive() {
 	}
 }
 
-// finish packages a search outcome. "Nothing found" splits by cause: a
-// stopped search was starved (ErrBudgetExhausted — the space may well hold
-// a solution), an exhausted one proved there is none (ErrInfeasible).
-// Either way the error is typed and the mapping nil — never nil/nil.
+// finish packages a sequential search outcome (Merge packages a root
+// split's).
 func (sv *solver) finish(best *core.Mapping, period float64) (*Result, error) {
 	if best == nil {
-		if sv.bud.stop.Load() {
-			return nil, fmt.Errorf("exact: %w under rule %v", ErrBudgetExhausted, sv.rule)
-		}
-		return nil, fmt.Errorf("exact: %w under rule %v", ErrInfeasible, sv.rule)
+		return nil, errNoMapping(sv.bud.stop.Load())
 	}
 	// Normalise the reported period through the canonical evaluation.
 	// The search prices through core.Pricer's plain sums (bit-exact
@@ -505,10 +503,22 @@ func (sv *solver) finish(best *core.Mapping, period float64) (*Result, error) {
 	}, nil
 }
 
+// errNoMapping is the error of a search that found nothing, split by
+// cause: a stopped search was starved (ErrBudgetExhausted — the space may
+// well hold a solution), an exhausted one proved there is none
+// (ErrInfeasible). Either way the error is typed and the mapping nil —
+// never nil/nil.
+func errNoMapping(stopped bool) error {
+	if stopped {
+		return fmt.Errorf("exact: %w", ErrBudgetExhausted)
+	}
+	return fmt.Errorf("exact: %w", ErrInfeasible)
+}
+
 // newShared builds the solver's cross-worker incumbent, wiring the
 // OnImprove stream and handing the external-bound injector its lever.
 func (sv *solver) newShared() *incumbent {
-	shared := newIncumbent(sv.warmPeriod, sv.warm)
+	shared := newIncumbent(sv.warmPeriod)
 	shared.onImprove = sv.onImprove
 	if sv.injector != nil {
 		sv.injector(shared.injectBound)

@@ -1,15 +1,17 @@
-// Distributed-search primitives: the two halves of the parallel root split
-// (parallel.go) exposed as standalone calls, so a coordinator process can
-// enumerate the frontier once and lease each subtree prefix to worker
-// processes. Determinism carries over unchanged: a subtree's exploration
-// is a pure function of (instance, options, prefix) — the warm start
-// (explicit-incumbent evaluation, H4w, greedy dive) is itself a pure
-// function of the instance, so every process derives the same one — and
-// the coordinator reduces the subtree reports in frontier order exactly
-// like solveParallel does, so the merged proof is byte-identical to a
-// local run for any process count. Externally-injected bounds
-// (Options.BoundInjector) only ever prune strictly, so incumbent exchange
-// changes node counts, never proven results.
+// The root split's three steps as standalone calls: Frontier enumerates the
+// subtree prefixes, SolveSubtree explores one of them, and Merge reduces the
+// outcomes in frontier order. solveParallel (parallel.go) runs the same
+// enumeration, the same subtree solve and the same Merge on a goroutine
+// pool; a fabric coordinator runs them over leases, enumerating once and
+// handing each prefix to a worker process. Determinism carries over
+// unchanged: a subtree's exploration is a pure function of (instance,
+// options, prefix) — the warm start (explicit-incumbent evaluation, H4w,
+// greedy dive) is itself a pure function of the instance, so every process
+// derives the same one — and both transports reduce through Merge, so the
+// proof is byte-identical to a local run for any process count.
+// Externally-injected bounds (Options.BoundInjector) only ever prune
+// strictly, so incumbent exchange changes node counts, never proven
+// results.
 package exact
 
 import (
@@ -29,7 +31,7 @@ type FrontierInfo struct {
 	// prefixes share one length (the enumeration depth). Empty when the
 	// frontier was exhausted during enumeration — the warm start already
 	// is the answer.
-	Prefixes [][]int `json:"prefixes"`
+	Prefixes [][]platform.MachineID `json:"prefixes"`
 	// WarmPeriod is the warm-start incumbent's period, 0 when no warm
 	// start exists (a nil WarmAssign; +Inf does not survive JSON).
 	// Workers re-derive it; a mismatch means the processes disagree on
@@ -54,40 +56,16 @@ func Frontier(in *core.Instance, opts Options, target int) (*FrontierInfo, error
 	if err != nil {
 		return nil, err
 	}
-	if target < 1 {
-		target = 1
-	}
-	shared := sv.newShared()
-	enum := sv.newSearcher(shared)
-	enum.bestPeriod = sv.warmPeriod
-	jobs, _ := sv.enumerate(enum, target)
-	enum.meter.release()
-
-	info := &FrontierInfo{
-		WarmPeriod: finiteOrZero(sv.warmPeriod),
-		Nodes:      sv.bud.reserved.Load(),
-		Stopped:    sv.bud.stop.Load(),
-	}
-	if sv.warm != nil {
-		info.WarmAssign = assignSlice(sv.warm)
-	}
-	info.Prefixes = make([][]int, len(jobs))
-	for j, prefix := range jobs {
-		p := make([]int, len(prefix))
-		for k, u := range prefix {
-			p[k] = int(u)
-		}
-		info.Prefixes[j] = p
-	}
-	return info, nil
+	front, _ := sv.frontier(max(target, 1))
+	return front, nil
 }
 
-// SubtreeOutcome is one leased subtree's deterministic report: its best
-// strict improvement over the shared warm start, if any.
+// SubtreeOutcome is one subtree's deterministic report: its best strict
+// improvement over the shared warm start, if any.
 type SubtreeOutcome struct {
 	// Found marks an improvement; Period and Assign carry it. The period
-	// is the search's own Pricer value (the merge re-normalises the
-	// winning mapping through core.Period, like a local solve does).
+	// is the search's own Pricer value (Merge re-normalises the winning
+	// mapping through core.Period, like a sequential solve does).
 	Found  bool    `json:"found"`
 	Period float64 `json:"period,omitempty"`
 	Assign []int   `json:"assign,omitempty"`
@@ -96,19 +74,19 @@ type SubtreeOutcome struct {
 	// must not claim a proof).
 	Nodes   int64 `json:"nodes"`
 	Stopped bool  `json:"stopped"`
-	// WarmPeriod echoes the warm start this worker derived (0 when none
-	// exists, mirroring FrontierInfo); the coordinator cross-checks it
+	// WarmPeriod echoes the warm start this solve derived (0 when none
+	// exists, mirroring FrontierInfo); a coordinator cross-checks it
 	// against its own before merging.
 	WarmPeriod float64 `json:"warmPeriod"`
 }
 
 // SolveSubtree explores the one subtree under prefix (a FrontierInfo
-// prefix) exactly as a solveParallel worker would: local incumbent seeded
-// at the warm-start period, non-strict pruning against it, strict pruning
-// against externally-injected bounds. The options must equal the ones the
-// frontier was enumerated with, or the subtrees stop partitioning the
-// sequential node set.
-func SolveSubtree(in *core.Instance, opts Options, prefix []int) (*SubtreeOutcome, error) {
+// prefix) with the subtree solve an in-process pool worker runs: local
+// incumbent seeded at the warm-start period, non-strict pruning against
+// it, strict pruning against externally-injected bounds. The options must
+// equal the ones the frontier was enumerated with, or the subtrees stop
+// partitioning the sequential node set.
+func SolveSubtree(in *core.Instance, opts Options, prefix []platform.MachineID) (*SubtreeOutcome, error) {
 	sv, err := newSolver(in, opts)
 	if err != nil {
 		return nil, err
@@ -116,33 +94,54 @@ func SolveSubtree(in *core.Instance, opts Options, prefix []int) (*SubtreeOutcom
 	if len(prefix) >= in.N() {
 		return nil, fmt.Errorf("exact: subtree prefix covers %d of %d tasks", len(prefix), in.N())
 	}
-	pfx := make([]platform.MachineID, len(prefix))
-	for k, u := range prefix {
-		if u < 0 || u >= in.M() {
+	for _, u := range prefix {
+		if u < 0 || int(u) >= in.M() {
 			return nil, fmt.Errorf("exact: subtree prefix assigns machine %d of %d", u, in.M())
 		}
-		pfx[k] = platform.MachineID(u)
 	}
-	shared := sv.newShared()
-	s := sv.newSearcher(shared)
-	s.push(pfx)
-	s.best = nil
-	s.bestPeriod = sv.warmPeriod
-	s.dfs(len(pfx))
-	s.pop(pfx)
+	s := sv.newSearcher(sv.newShared())
+	out := s.subtree(prefix, sv.warmPeriod)
 	s.meter.release()
-
-	out := &SubtreeOutcome{
-		Nodes:      sv.bud.reserved.Load(),
-		Stopped:    sv.bud.stop.Load(),
-		WarmPeriod: finiteOrZero(sv.warmPeriod),
-	}
-	if s.best != nil {
-		out.Found = true
-		out.Period = s.bestPeriod
-		out.Assign = assignSlice(s.best)
-	}
 	return out, nil
+}
+
+// Merge reduces a root split to its answer. outcomes[j] is the outcome of
+// front.Prefixes[j], nil when that subtree was never explored. Merge keeps
+// the warm start, then the first strict improvement in frontier order —
+// what a sequential search that visited the subtrees in that order keeps —
+// and normalises the winner's period through core.Period, like a
+// sequential Solve. The result is proven when the enumeration and every
+// subtree ran to exhaustion; Nodes sums the frontier's and the subtrees'
+// counts. When nothing was found the error wraps ErrBudgetExhausted for an
+// unproven split and ErrInfeasible for a proven one. Found outcomes are
+// trusted: a caller that receives them from another process checks them
+// against its own instance first.
+func Merge(in *core.Instance, front *FrontierInfo, outcomes []*SubtreeOutcome) (*Result, error) {
+	best, bestPeriod := front.WarmAssign, math.Inf(1)
+	if best != nil {
+		bestPeriod = front.WarmPeriod
+	}
+	proven := !front.Stopped && len(outcomes) == len(front.Prefixes)
+	nodes := front.Nodes
+	for _, o := range outcomes {
+		if o == nil {
+			proven = false
+			continue
+		}
+		proven = proven && !o.Stopped
+		nodes += o.Nodes
+		if o.Found && o.Period < bestPeriod {
+			best, bestPeriod = o.Assign, o.Period
+		}
+	}
+	if best == nil {
+		return nil, errNoMapping(!proven)
+	}
+	mp := core.NewMapping(len(best))
+	for i, u := range best {
+		mp.Assign(app.TaskID(i), platform.MachineID(u))
+	}
+	return &Result{Mapping: mp, Period: core.Period(in, mp), Proven: proven, Nodes: nodes}, nil
 }
 
 func finiteOrZero(p float64) float64 {

@@ -1,7 +1,7 @@
 package exact
 
 import (
-	"math"
+	"errors"
 	"testing"
 
 	"microfab/internal/app"
@@ -10,37 +10,8 @@ import (
 	"microfab/internal/platform"
 )
 
-// mergeSubtrees reduces subtree outcomes in frontier order, exactly like a
-// coordinator does: warm start first, then the first strict improvement
-// chain (the same loop as solveParallel's report reduction).
-func mergeSubtrees(t *testing.T, in *core.Instance, front *FrontierInfo, outs []*SubtreeOutcome) (float64, []int, bool) {
-	t.Helper()
-	bestPeriod := math.Inf(1)
-	bestAssign := front.WarmAssign
-	if bestAssign != nil {
-		bestPeriod = front.WarmPeriod
-	}
-	proven := !front.Stopped
-	for _, o := range outs {
-		if o.Stopped {
-			proven = false
-		}
-		if o.Found && o.Period < bestPeriod {
-			bestPeriod, bestAssign = o.Period, o.Assign
-		}
-	}
-	if bestAssign == nil {
-		t.Fatal("merge found no mapping")
-	}
-	mp := core.NewMapping(in.N())
-	for i, u := range bestAssign {
-		mp.Assign(app.TaskID(i), platform.MachineID(u))
-	}
-	return core.Period(in, mp), bestAssign, proven
-}
-
 // TestSubtreeMergeMatchesSolve: Frontier + SolveSubtree per prefix,
-// reduced in frontier order, reproduces Solve bit for bit — with and
+// reduced by Merge, reproduces Solve bit for bit — with and
 // without an injected external bound equal to the optimum (the strongest
 // safe injection).
 func TestSubtreeMergeMatchesSolve(t *testing.T) {
@@ -83,18 +54,95 @@ func TestSubtreeMergeMatchesSolve(t *testing.T) {
 				}
 				outs[j] = out
 			}
-			period, assign, proven := mergeSubtrees(t, in, front, outs)
-			if !proven {
+			res, err := Merge(in, front, outs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Proven {
 				t.Fatalf("inject=%v: merge not proven", inject)
 			}
-			if period != ref.Period {
-				t.Fatalf("inject=%v: merged period %v != %v", inject, period, ref.Period)
+			if res.Period != ref.Period {
+				t.Fatalf("inject=%v: merged period %v != %v", inject, res.Period, ref.Period)
 			}
-			for i, u := range assign {
-				if platform.MachineID(u) != ref.Mapping.Machine(app.TaskID(i)) {
+			for i := 0; i < in.N(); i++ {
+				if res.Mapping.Machine(app.TaskID(i)) != ref.Mapping.Machine(app.TaskID(i)) {
 					t.Fatalf("inject=%v seed=%d: merged mapping diverges at task %d", inject, seed, i)
 				}
 			}
+		}
+	}
+}
+
+// TestMerge pins the reduction both transports of the root split share:
+// the warm start first, then the first strict improvement in frontier
+// order; proven only when the enumeration and every subtree were
+// exhausted; typed errors when nothing was found. Reported periods are
+// the merge's only sort key; the result is repriced through core.Period.
+func TestMerge(t *testing.T) {
+	in, err := gen.Chain(gen.Default(4, 2, 3), gen.RNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, a, b := []int{0, 0, 0, 0}, []int{1, 1, 1, 1}, []int{2, 2, 2, 2}
+	two := [][]platform.MachineID{{0}, {1}}
+	found := func(p float64, assign []int) *SubtreeOutcome {
+		return &SubtreeOutcome{Found: true, Period: p, Assign: assign, Nodes: 5}
+	}
+	for _, c := range []struct {
+		name   string
+		front  FrontierInfo
+		outs   []*SubtreeOutcome
+		want   []int // nil: an error is expected
+		proven bool
+		nodes  int64
+		err    error
+	}{
+		{"equal periods: earlier in frontier order wins",
+			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10, Nodes: 3},
+			[]*SubtreeOutcome{found(5, a), found(5, b)}, a, true, 13, nil},
+		{"a later strict improvement wins",
+			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10, Nodes: 3},
+			[]*SubtreeOutcome{found(6, a), found(5, b)}, b, true, 13, nil},
+		{"a report equal to the warm period keeps the warm start",
+			FrontierInfo{Prefixes: two[:1], WarmAssign: warm, WarmPeriod: 10},
+			[]*SubtreeOutcome{found(10, a)}, warm, true, 5, nil},
+		{"a stopped subtree voids the proof",
+			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10},
+			[]*SubtreeOutcome{{Stopped: true, Nodes: 5}, found(5, b)}, b, false, 10, nil},
+		{"an unexplored subtree voids the proof",
+			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10},
+			[]*SubtreeOutcome{found(5, a), nil}, a, false, 5, nil},
+		{"zero outcomes return the warm start",
+			FrontierInfo{WarmAssign: warm, WarmPeriod: 10, Nodes: 7},
+			nil, warm, true, 7, nil},
+		{"zero outcomes and no warm start are infeasible",
+			FrontierInfo{Nodes: 7}, nil, nil, false, 0, ErrInfeasible},
+		{"a stopped split that found nothing is starved",
+			FrontierInfo{Prefixes: two},
+			[]*SubtreeOutcome{{Nodes: 5}, {Stopped: true}}, nil, false, 0, ErrBudgetExhausted},
+	} {
+		res, err := Merge(in, &c.front, c.outs)
+		if c.want == nil {
+			if !errors.Is(err, c.err) {
+				t.Fatalf("%s: err %v, want %v", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Proven != c.proven || res.Nodes != c.nodes {
+			t.Fatalf("%s: proven %v nodes %d, want %v and %d", c.name, res.Proven, res.Nodes, c.proven, c.nodes)
+		}
+		mp := core.NewMapping(in.N())
+		for i, u := range c.want {
+			if got := res.Mapping.Machine(app.TaskID(i)); got != platform.MachineID(u) {
+				t.Fatalf("%s: task %d on machine %d, want %d", c.name, i, got, u)
+			}
+			mp.Assign(app.TaskID(i), platform.MachineID(u))
+		}
+		if p := core.Period(in, mp); res.Period != p {
+			t.Fatalf("%s: period %v, want core.Period %v", c.name, res.Period, p)
 		}
 	}
 }
@@ -137,10 +185,10 @@ func TestSolveSubtreeRejectsBadPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveSubtree(in, Options{}, []int{0, 1, 2, 0, 1}); err == nil {
+	if _, err := SolveSubtree(in, Options{}, []platform.MachineID{0, 1, 2, 0, 1}); err == nil {
 		t.Fatal("full-length prefix accepted")
 	}
-	if _, err := SolveSubtree(in, Options{}, []int{7}); err == nil {
+	if _, err := SolveSubtree(in, Options{}, []platform.MachineID{7}); err == nil {
 		t.Fatal("out-of-range machine accepted")
 	}
 }

@@ -1,8 +1,13 @@
-// Parallel root split: the branch and bound fans out over a worker pool by
-// enumerating the assignment frontier to a small depth d and handing each
-// frontier prefix (a subtree root) to a worker. Workers share one atomic
-// node budget and one atomic incumbent; each owns a cloned core.Evaluator
-// and a private searcher, so nothing on the hot path takes a lock.
+// Parallel root split: one pipeline, two transports. The branch and bound
+// fans out by enumerating the assignment frontier to a small depth d
+// (solver.frontier), solving the subtree under each frontier prefix
+// (searcher.subtree) and reducing the outcomes in frontier order (Merge).
+// In process, solveParallel runs the subtree solves on a goroutine pool
+// whose workers share one atomic node budget and one atomic incumbent;
+// each owns a private searcher and pricer, so nothing on the hot path
+// takes a lock. Across processes, the fabric coordinator runs the same
+// three steps through Frontier, SolveSubtree and Merge (fabric.go), with
+// HTTP leases for transport.
 //
 // Determinism. A proven parallel search returns byte-identical results for
 // any worker count, including Workers=1 sequential search, because every
@@ -19,116 +24,77 @@
 //     first P-attaining leaf in DFS order: ancestors of that leaf have
 //     bound <= P <= shared, which never trips a strict test, whatever the
 //     other workers published in the meantime;
-//   - the reduction walks subtree reports in frontier order and keeps the
+//   - Merge walks the subtree outcomes in frontier order and keeps the
 //     first strict improvement, exactly what a sequential search that
 //     visited the subtrees in that order would have kept.
 //
-// A search stopped by budget returns the best solution any worker found
-// (Proven=false); which one that is depends on timing, like any interrupted
-// anytime search.
+// A search stopped by budget returns the best solution any subtree found
+// (Proven=false), period ties broken in frontier order; which solutions
+// were found by then depends on timing, like any interrupted anytime
+// search.
 package exact
 
 import (
 	"sync"
 	"sync/atomic"
 
-	"microfab/internal/core"
 	"microfab/internal/platform"
 )
 
-// report is one subtree's deterministic outcome: its best improvement over
-// the warm-start period, or nil when the subtree was exhausted or pruned
-// without improving it.
-type report struct {
-	period  float64
-	mapping *core.Mapping
-}
-
 // solveParallel runs the root split over `workers` goroutines.
 func (sv *solver) solveParallel(workers int) (*Result, error) {
-	shared := sv.newShared()
-	enum := sv.newSearcher(shared)
-	enum.bestPeriod = sv.warmPeriod
-	jobs, depth := sv.enumerate(enum, 8*workers)
-	enum.meter.release()
-
-	if len(jobs) == 0 || sv.bud.stop.Load() {
-		// Frontier exhausted (every completion prunes against the warm
-		// start, or no feasible assignment exists) or budget gone before
-		// the split: the warm start is the answer, if there is one.
-		return sv.finish(sv.warm, sv.warmPeriod)
-	}
-
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	reports := make([]report, len(jobs))
+	front, shared := sv.frontier(8 * workers)
+	outs := make([]*SubtreeOutcome, len(front.Prefixes))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(outs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s := sv.newSearcher(shared)
 			defer s.meter.release()
-			for {
-				j := int(next.Add(1) - 1)
-				if j >= len(jobs) || sv.bud.stop.Load() {
-					return
-				}
-				s.push(jobs[j])
-				s.best = nil
-				s.bestPeriod = sv.warmPeriod
-				s.dfs(depth)
-				if s.best != nil {
-					reports[j] = report{period: s.bestPeriod, mapping: s.best}
-				}
-				s.pop(jobs[j])
+			for j := int(next.Add(1) - 1); j < len(outs) && !s.meter.stopped(); j = int(next.Add(1) - 1) {
+				outs[j] = s.subtree(front.Prefixes[j], sv.warmPeriod)
 			}
 		}()
 	}
 	wg.Wait()
-
-	if sv.bud.stop.Load() {
-		// Interrupted: the shared incumbent holds the best solution any
-		// worker published (the warm start when nobody improved on it).
-		p, mp := shared.snapshot()
-		return sv.finish(mp, p)
-	}
-	best, bestPeriod := sv.warm, sv.warmPeriod
-	for _, r := range reports {
-		if r.mapping != nil && r.period < bestPeriod {
-			best, bestPeriod = r.mapping, r.period
-		}
-	}
-	return sv.finish(best, bestPeriod)
+	return Merge(sv.in, front, outs)
 }
 
-// enumerate expands the assignment frontier level by level until it is at
-// least target subtrees wide (the root split uses ~8 per worker), the next
-// level would complete the mapping, or the budget stops the search. Every
-// prefix respects the rule, the dominance filter, and the warm-start
-// pruning, so the subtrees partition exactly the node set a sequential
-// search visits.
-func (sv *solver) enumerate(s *searcher, target int) ([][]platform.MachineID, int) {
-	n := len(sv.order)
-	frontier := [][]platform.MachineID{nil}
-	depth := 0
-	for depth < n-1 && len(frontier) < target {
+// frontier builds the shared incumbent and the enumerating searcher, then
+// expands the root frontier level by level until it is at least target
+// subtrees wide (the in-process split uses ~8 per worker), the next level
+// would complete the mapping, or the budget stops the search (Stopped, no
+// prefixes). Every prefix respects the rule, the dominance filter and the
+// warm-start pruning, so the subtrees partition exactly the node set a
+// sequential search visits.
+func (sv *solver) frontier(target int) (*FrontierInfo, *incumbent) {
+	shared := sv.newShared()
+	enum := sv.newSearcher(shared)
+	enum.bestPeriod = sv.warmPeriod
+	prefixes := [][]platform.MachineID{nil}
+	for depth := 0; depth < len(sv.order)-1 && len(prefixes) > 0 && len(prefixes) < target; depth++ {
 		var next [][]platform.MachineID
-		for _, prefix := range frontier {
-			next = s.expand(prefix, next)
-			if sv.bud.stop.Load() {
-				return nil, 0
-			}
+		for _, prefix := range prefixes {
+			next = enum.expand(prefix, next)
 		}
-		frontier = next
-		depth++
-		if len(frontier) == 0 {
-			break
-		}
+		prefixes = next
 	}
-	return frontier, depth
+	enum.meter.release()
+	front := &FrontierInfo{
+		Prefixes:   prefixes,
+		WarmPeriod: finiteOrZero(sv.warmPeriod),
+		Nodes:      enum.meter.used,
+		Stopped:    sv.bud.stop.Load(),
+	}
+	if front.Stopped {
+		front.Prefixes = nil
+	}
+	if sv.warm != nil {
+		front.WarmAssign = assignSlice(sv.warm)
+	}
+	return front, shared
 }
 
 // expand replays prefix, applies the same per-node pruning as dfs, and
@@ -155,4 +121,26 @@ func (s *searcher) expand(prefix []platform.MachineID, dst [][]platform.MachineI
 		dst = append(dst, child)
 	}
 	return dst
+}
+
+// subtree is the root split's one subtree solve, run by the in-process
+// pool and by SolveSubtree alike: replay prefix, reset the local incumbent
+// to the warm-start period (non-strict pruning against it, strict against
+// the shared one), search, unwind, and package the outcome for Merge.
+func (s *searcher) subtree(prefix []platform.MachineID, warmPeriod float64) *SubtreeOutcome {
+	start := s.meter.used
+	s.push(prefix)
+	s.best = nil
+	s.bestPeriod = warmPeriod
+	s.dfs(len(prefix))
+	s.pop(prefix)
+	out := &SubtreeOutcome{
+		Nodes:      s.meter.used - start,
+		Stopped:    s.meter.stopped(),
+		WarmPeriod: finiteOrZero(warmPeriod),
+	}
+	if s.best != nil {
+		out.Found, out.Period, out.Assign = true, s.bestPeriod, assignSlice(s.best)
+	}
+	return out
 }

@@ -330,6 +330,9 @@ func (c *Coordinator) addJobLocked(j *job, chunks []Chunk) {
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
+	if j.remaining == 0 {
+		c.finishLocked(j) // nothing to lease: a frontier the warm start exhausted
+	}
 }
 
 // cancelJob marks a job abandoned (its submitter hung up): pending work is
@@ -386,11 +389,14 @@ func (c *Coordinator) SubmitCampaignJob(ctx context.Context, spec CampaignSpec) 
 	return experiments.Assemble(spec.Figure, cfg, out)
 }
 
-// SubmitExactJob enumerates spec's root frontier locally, leases one chunk
-// per subtree prefix, and reduces the reports in frontier order — warm
-// start first, then the first strict-improvement chain — so the proof is
-// byte-identical to a local exact.Solve for any worker count, chunk
-// placement, or exchange setting. Blocks until done or ctx ends.
+// SubmitExactJob runs the root split over leases: it enumerates spec's
+// frontier locally (exact.Frontier), leases one chunk per subtree prefix to
+// workers running exact.SolveSubtree, and reduces their outcomes with
+// exact.Merge, so the proof is byte-identical to a local exact.Solve for
+// any worker count, chunk placement, or exchange setting. Non-winning
+// outcomes may differ run-to-run under exchange (their pruning saw
+// different bounds at different times) — the winner never does. Blocks
+// until done or ctx ends.
 func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*ExactResult, error) {
 	rule, err := core.ParseRule(spec.Rule)
 	if err != nil {
@@ -411,19 +417,6 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 	}
 	if front.Stopped {
 		return nil, errors.New("frontier enumeration exhausted the node budget; raise maxNodes")
-	}
-	if len(front.Prefixes) == 0 {
-		// Every completion pruned against the warm start during
-		// enumeration: the warm start is the proven answer.
-		if front.WarmAssign == nil {
-			return nil, errors.New("no feasible mapping under the rule")
-		}
-		return &ExactResult{
-			Assign: front.WarmAssign,
-			Period: repriced(in, front.WarmAssign),
-			Proven: true,
-			Nodes:  front.Nodes,
-		}, nil
 	}
 
 	chunks := make([]Chunk, len(front.Prefixes))
@@ -449,35 +442,19 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 	if failed != "" {
 		return nil, errors.New(failed)
 	}
-
-	// The same reduction solveParallel runs: warm start first, strict
-	// improvements in frontier order. Non-winning reports may differ
-	// run-to-run under exchange (their pruning saw different bounds at
-	// different times) — the winner never does.
-	bestPeriod := math.Inf(1)
-	bestAssign := front.WarmAssign
-	if bestAssign != nil {
-		bestPeriod = front.WarmPeriod
+	res, err := exact.Merge(in, front, reports)
+	if err != nil {
+		return nil, err
 	}
-	proven := true
-	nodes := front.Nodes
-	for _, o := range reports {
-		nodes += o.Nodes
-		if o.Stopped {
-			proven = false
-		}
-		if o.Found && o.Period < bestPeriod {
-			bestPeriod, bestAssign = o.Period, o.Assign
-		}
-	}
-	if bestAssign == nil {
-		return nil, errors.New("no feasible mapping under the rule")
+	assign := make([]int, in.N())
+	for i := range assign {
+		assign[i] = int(res.Mapping.Machine(app.TaskID(i)))
 	}
 	return &ExactResult{
-		Assign:   bestAssign,
-		Period:   repriced(in, bestAssign),
-		Proven:   proven,
-		Nodes:    nodes,
+		Assign:   assign,
+		Period:   res.Period,
+		Proven:   res.Proven,
+		Nodes:    res.Nodes,
 		Subtrees: len(front.Prefixes),
 	}, nil
 }
@@ -506,16 +483,6 @@ func checkSubtree(in *core.Instance, rule core.Rule, o *exact.SubtreeOutcome) er
 		return fmt.Errorf("reported period %v, the assignment prices at %v", o.Period, p)
 	}
 	return nil
-}
-
-// repriced normalises a winning assignment through core.Period, exactly
-// like a local Result does, so search-internal pricer values never leak.
-func repriced(in *core.Instance, assign []int) float64 {
-	mp := core.NewMapping(in.N())
-	for i, u := range assign {
-		mp.Assign(app.TaskID(i), platform.MachineID(u))
-	}
-	return core.Period(in, mp)
 }
 
 // status snapshots the fabric for GET /status.

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -233,6 +234,40 @@ func TestExactDistributedMatchesLocal(t *testing.T) {
 		}
 	}
 
+}
+
+// TestExactInfeasibleTyped: an instance with no feasible mapping (three
+// task types, two machines, Specialized rule) fails the distributed solve
+// with exact.Merge's typed error, the same error a local exact.Solve
+// returns.
+func TestExactInfeasibleTyped(t *testing.T) {
+	in, err := gen.Chain(gen.Default(6, 3, 3), gen.RNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := instance.FromInstance(in, "three types, two machines")
+	for i := range file.Times {
+		file.Times[i], file.Failures[i] = file.Times[i][:2], file.Failures[i][:2]
+	}
+	narrow, err := file.ToInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, local := exact.Solve(narrow, exact.Options{Rule: core.Specialized, WarmStart: true})
+	if !errors.Is(local, exact.ErrInfeasible) {
+		t.Fatalf("local solve: got %v, want ErrInfeasible", local)
+	}
+
+	c, srv := testCoord(t, CoordConfig{})
+	stop := startWorkers(t, srv.URL, 2)
+	defer stop()
+	_, err = c.SubmitExactJob(context.Background(), ExactSpec{Instance: *file, WarmStart: true, Subtrees: 8})
+	if !errors.Is(err, exact.ErrInfeasible) {
+		t.Fatalf("distributed solve: got %v, want ErrInfeasible", err)
+	}
+	if err.Error() != local.Error() {
+		t.Fatalf("distributed error %q, local %q", err, local)
+	}
 }
 
 // TestWorkerDrain: a drained worker finishes and reports its current

@@ -11,13 +11,16 @@
 //     code path a local run uses (internal/experiments.Assemble) — the
 //     merged figure is byte-identical to a single-process run for any
 //     worker count, chunk size or failure history;
-//   - exact scale-out: the branch and bound's root frontier (enumerated
-//     once on the coordinator via exact.Frontier) leases one subtree
-//     prefix per chunk. Workers re-derive the same warm start, explore
-//     their subtree with exact.SolveSubtree, and adopt the fabric-wide
-//     best incumbent as a strict pruning bound through the periodic
-//     heartbeat exchange (exact.Options.BoundInjector) — node counts
-//     shrink, proofs stay byte-identical, exchange on or off.
+//   - exact scale-out: the exact solver's parallel root split run over
+//     leases. The coordinator enumerates the root frontier once
+//     (exact.Frontier) and leases one subtree prefix per chunk; workers
+//     re-derive the same warm start, explore their subtree with
+//     exact.SolveSubtree and adopt the fabric-wide best incumbent as a
+//     strict pruning bound through the periodic heartbeat exchange
+//     (exact.Options.BoundInjector); the coordinator reduces the
+//     outcomes with exact.Merge, the call an in-process parallel solve
+//     makes — node counts shrink, proofs stay byte-identical, exchange
+//     on or off.
 //
 // Failure semantics: chunks are leased, not assigned. A worker that stops
 // heartbeating loses its lease after the TTL and the chunk is re-leased to
@@ -35,6 +38,7 @@ import (
 	"microfab/internal/exact"
 	"microfab/internal/experiments"
 	"microfab/internal/instance"
+	"microfab/internal/platform"
 )
 
 // Job kinds.
@@ -131,9 +135,9 @@ type Chunk struct {
 	// period every process must re-derive, and — when incumbent exchange
 	// is on — the fabric-wide best period at lease time, injected as the
 	// initial strict pruning bound.
-	Prefix     []int    `json:"prefix,omitempty"`
-	WarmPeriod float64  `json:"warmPeriod,omitempty"`
-	Best       *float64 `json:"best,omitempty"`
+	Prefix     []platform.MachineID `json:"prefix,omitempty"`
+	WarmPeriod float64              `json:"warmPeriod,omitempty"`
+	Best       *float64             `json:"best,omitempty"`
 }
 
 // LeaseRequest asks the coordinator for a chunk.

@@ -161,7 +161,7 @@ func fill(pr Params, a *app.Application, rng *rand.Rand) (*core.Instance, error)
 	for ty := range wByType {
 		row := make([]float64, m)
 		for u := range row {
-			row[u] = pr.WMin + rng.Float64()*(pr.WMax-pr.WMin)
+			row[u] = pr.WMin + float64(rng.Float64()*(pr.WMax-pr.WMin))
 		}
 		wByType[ty] = row
 	}
@@ -178,13 +178,13 @@ func fill(pr Params, a *app.Application, rng *rand.Rand) (*core.Instance, error)
 	for i := 0; i < n; i++ {
 		f[i] = make([]float64, m)
 		if pr.TaskOnlyFailures {
-			fi := pr.FMin + rng.Float64()*(pr.FMax-pr.FMin)
+			fi := pr.FMin + float64(rng.Float64()*(pr.FMax-pr.FMin))
 			for u := range f[i] {
 				f[i][u] = fi
 			}
 		} else {
 			for u := range f[i] {
-				f[i][u] = pr.FMin + rng.Float64()*(pr.FMax-pr.FMin)
+				f[i][u] = pr.FMin + float64(rng.Float64()*(pr.FMax-pr.FMin))
 			}
 		}
 	}
