@@ -1,7 +1,9 @@
 // Command microfab solves a mapping problem instance: it reads an instance
 // JSON file (see cmd/mfgen to create one), runs the requested method, and
-// prints the mapping, per-machine periods and throughput. The mapping can
-// also be written to a JSON file for cmd/mfsim.
+// prints the mapping, per-machine periods and throughput. -out also writes
+// the mapping to a JSON file for cmd/mfsim, with its period and, for
+// -solver exact, whether the search proved it optimal ("proven") and the
+// nodes it explored ("nodes").
 //
 // Usage:
 //
@@ -186,15 +188,27 @@ func run(inPath, method, ruleName string, seed int64, outPath string, xout float
 		}
 	}
 	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
+		mj := instance.FromMapping(mp, "produced by cmd/microfab -solver "+method)
+		mj.Period = ev.Period
+		if exactRes != nil {
+			mj.Proven, mj.Nodes = &exactRes.Proven, exactRes.Nodes
 		}
-		defer f.Close()
-		if err := instance.WriteMapping(f, mp, "produced by cmd/microfab -solver "+method); err != nil {
+		if err := writeMapping(outPath, mj); err != nil {
 			return err
 		}
 		fmt.Printf("mapping written to %s\n", outPath)
 	}
 	return nil
+}
+
+func writeMapping(path string, mj *instance.MappingJSON) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := mj.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -369,8 +369,9 @@ func FuzzSplitDelta(f *testing.F) {
 // the Evaluator.TrialAll row must be bit-equal to m Trial calls at every
 // partial state the script reaches, and a root-first Pricer walk steered by
 // the tape must find PriceAll bit-equal to m Pricer.Trial calls with Assign
-// landing on exactly the batch row's bits, and MinLandingAt equal to the
-// row's strict-< minimum over the cells each rule's penalty row admits —
+// landing on exactly the batch row's bits, MinLandingAt equal to the
+// row's strict-< minimum over the cells each rule's penalty row admits and
+// LandingOn equal to each cell plus its penalty —
 // the fuzz twin of TestTrialAllDifferential, TestPriceAllDifferential and
 // TestMinLandingAtBitEqual.
 func FuzzTrialAll(f *testing.F) {

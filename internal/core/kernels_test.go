@@ -40,7 +40,9 @@ func penaltyRow(in *core.Instance, p *core.Pricer, rule core.Rule, ty app.TypeID
 // checkMinLandingAt requires MinLandingAt(i, d, pen) to equal a PriceAllAt
 // row followed by a strict-< scan over its pen[u] == 0 cells — value bits
 // and first-of-equals argmin, (+Inf, -1) when no cell is admitted — and
-// reports whether two or more admitted machines tie at the minimum.
+// LandingOn(i, d, pen, u) to equal the row cell plus pen[u] for every u,
+// never below that minimum and equal to it at the argmin. It reports
+// whether two or more admitted machines tie at the minimum.
 func checkMinLandingAt(t testing.TB, p *core.Pricer, i app.TaskID, d float64, pen []float64, step string) bool {
 	t.Helper()
 	row := make([]float64, p.M())
@@ -55,6 +57,19 @@ func checkMinLandingAt(t testing.TB, p *core.Pricer, i app.TaskID, d float64, pe
 	if math.Float64bits(got) != math.Float64bits(want) || at != wantAt {
 		t.Fatalf("%s: MinLandingAt(T%d, d=%v) = (%v, %d), filtered PriceAllAt scan (%v, %d) (must be bit-equal)",
 			step, int(i)+1, d, got, at, want, wantAt)
+	}
+	// LandingOn is one cell of that minimum: the row cell plus its penalty,
+	// bit for bit, never below the minimum and equal to it at the argmin.
+	for u, v := range row {
+		on := p.LandingOn(i, d, pen, u)
+		if cell := v + pen[u]; math.Float64bits(on) != math.Float64bits(cell) {
+			t.Fatalf("%s: LandingOn(T%d, d=%v, M%d) = %v, PriceAllAt cell plus penalty %v (must be bit-equal)",
+				step, int(i)+1, d, u+1, on, cell)
+		}
+		if on < got || (u == at && math.Float64bits(on) != math.Float64bits(got)) {
+			t.Fatalf("%s: LandingOn(T%d, d=%v, M%d) = %v against MinLandingAt (%v, M%d)",
+				step, int(i)+1, d, u+1, on, got, at+1)
+		}
 	}
 	ties := 0
 	for u, v := range row {
@@ -103,8 +118,9 @@ func duplicatedColumns(t testing.TB, base *core.Instance, distinct int) *core.In
 // demand and the penalty rows of all three rules, MinLandingAt must return
 // the bits and the argmin of PriceAllAt plus a strict-< scan over the
 // admitted cells — ties (duplicated machine columns) and fully closed
-// rows included. The exact solver's bound prices every unplaced task's
-// cheapest landing through it, so this is the contract that keeps its
+// rows included — and LandingOn must price every single cell of that
+// minimum bit for bit. The exact solver's bound prices every unplaced
+// task's landing through the two, so this is the contract that keeps its
 // search tree unchanged.
 func TestMinLandingAtBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))

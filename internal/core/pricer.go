@@ -274,6 +274,18 @@ func (p *Pricer) MinLandingAt(i app.TaskID, d float64, pen []float64) (float64, 
 	return math.Float64frombits(best), at
 }
 
+// LandingOn returns one cell of MinLandingAt's minimum: the load machine u
+// would reach if it also carried task i at downstream demand d, plus
+// pen[u]. It is the same expression, term for term, so MinLandingAt's
+// value is at most LandingOn(i, d, pen, u) for every u, with equality at
+// its argmin. The exact solver's bound prices a task on the machine that
+// won its last landing scan first, and skips the scan when that one cell
+// cannot prune.
+func (p *Pricer) LandingOn(i app.TaskID, d float64, pen []float64, u int) float64 {
+	c := int(i)*p.m + u
+	return p.load[u] + float64((d*p.infl[c])*p.tim[c]) + pen[u]
+}
+
 // Assign sets a(i) = u, pricing exactly task i (its feeders are unassigned
 // under the root-first discipline) and saving the touched machine's load
 // and the running maximum for the bit-exact restore in Unassign. It errors

@@ -20,15 +20,19 @@
 // Under the one-to-one rule a fourth relaxation, the bottleneck assignment
 // of unplaced tasks to free machines (relax.go), tops these off.
 //
-// The bound is recomputed at every node, but the ingredients that only
-// change when a task is placed are kept up to date on assign instead of
-// being rederived: the placed work per type sits in a per-depth stack
-// (placeWork), and the dedicated-machine counts and per-type feasibility
-// penalty rows are maintained by occupy/vacate (exact.go). Each is the
-// same additions and comparisons, in the same order, as the rederivation
-// it replaces, so the bound's bits are unchanged; bound_oracle_test.go
-// keeps the rederiving bound as the oracle. Every unplaced task's cheapest
-// feasible landing is one fused core.(*Pricer).MinLandingAt pass.
+// The search only asks whether a node prunes, so the bound is never
+// computed as a value: prunes tests each ingredient against the
+// incumbents as it is derived, and two screens skip landing scans and
+// water-filling passes that cannot change the decision (see prunes).
+//
+// The ingredients that only change when a task is placed are kept up to
+// date on assign instead of being rederived: the placed work per type
+// sits in a per-depth stack (placeWork), and the dedicated-machine counts
+// and per-type feasibility penalty rows are maintained by occupy/vacate
+// (exact.go). Each is the same additions and comparisons, in the same
+// order, as the rederivation it replaces; bound_oracle_test.go keeps the
+// rederiving bound as the oracle production's decisions must bracket.
+// Every full landing scan is one fused core.(*Pricer).MinLandingAt pass.
 //
 // Admissibility is fuzz-gated by FuzzExactBound against a brute-force
 // completion oracle.
@@ -126,21 +130,42 @@ func (s *searcher) placeWork(k int, i app.TaskID, u int) {
 	next[ty] = prev[ty] + float64(s.pr.X(i)*s.bnd.tim[int(i)*s.m+u])
 }
 
-// lowerBound returns an admissible lower bound on the period of any
-// completion of the current node (order[0..k) placed). O((n-k)·m) plus
-// the water-filling pass under the Specialized rule, or the bottleneck
-// assignment under the one-to-one rule (relax.go).
+// prunes reports whether the node at depth k (order[0..k) placed) can be
+// cut against the caller's incumbents: whether its admissible lower bound
+// reaches localBest (non-strict) or exceeds sharedP (strict). The bound is
+// the maximum of its ingredients — the current maximum load, every
+// unplaced task's cheapest feasible landing, the packing bound and, under
+// the one-to-one rule, the bottleneck assignment (relax.go) — so the node
+// prunes iff one ingredient crosses a threshold, and prunes returns at the
+// first that does. O((n-k)·m) plus the water-filling pass under the
+// Specialized rule.
 //
-// localBest and sharedP are the caller's pruning thresholds: the bound
-// only ever grows while it accumulates, so the moment it crosses one
-// (lb >= localBest or lb > sharedP) the caller will prune whatever the
-// final value would have been, and lowerBound returns early. Callers that
-// need the full bound value pass +Inf twice (see boundAt in the tests).
-func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
+// Two screens skip work that cannot change the decision. Each prices an
+// upper bound on the ingredient it stands in for, bit for bit, and skips
+// the ingredient when that upper bound crosses neither threshold:
+//
+//   - landing screen: landArg[j] names the machine that won position j's
+//     last landing scan; the task priced on that one machine
+//     (Pricer.LandingOn) is never below its cheapest landing
+//     (MinLandingAt), a minimum over the same expressions. A stale hint
+//     (a machine since closed to the task) prices +Inf and falls back to
+//     the full scan;
+//   - allocation screen: greedy water-filling is optimal over every valid
+//     allocation of the same rounded quotients, so the allocation the last
+//     waterfill left in alloc, when still valid for this node, bounds it
+//     from above (allocQuot).
+//
+// The decision is therefore a pure function of the node and the
+// thresholds; the hints and the allocation only pick what is priced
+// first. Under the one-to-one assignment bound every landing is scanned,
+// since the collision filter reads this node's argmins from landArg.
+func (s *searcher) prunes(k int, localBest, sharedP float64) bool {
+	if mx := s.pr.Max(); mx >= localBest || mx > sharedP {
+		return true
+	}
 	n := len(s.order)
-	lb := s.pr.Max()
-	if k == n || lb >= localBest || lb > sharedP {
-		return lb
+	if k == n {
+		return false
 	}
 	b, m := s.bnd, s.m
 	spec := s.rule == core.Specialized
@@ -166,9 +191,9 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 	// The penalty row of the task's type (one shared row outside the
 	// Specialized rule) masks the infeasible machines out of the landing
 	// minimum.
-	dlb, typeW, pen := s.dlb, s.typeW, s.pen[:m]
+	dlb, typeW, pen, landArg := s.dlb, s.typeW, s.pen[:m], s.landArg
 	succPos, minInflAt, minCostAt, typeAt := b.succPos, b.minInflAt, b.minCostAt, b.typeAt
-	maxTask := 0.0
+	screen := s.ab == nil
 	for j := k; j < n; j++ {
 		d := 1.0
 		if sp := succPos[j]; sp >= 0 {
@@ -187,42 +212,41 @@ func (s *searcher) lowerBound(k int, localBest, sharedP float64) float64 {
 		} else {
 			total += c
 		}
-		land, at := s.pr.MinLandingAt(s.order[j], d, pen)
-		if s.landArg != nil {
-			// Only the one-to-one assignment bound allocates landArg; its
-			// collision filter reads it instead of re-pricing (relax.go).
-			s.landArg[j] = at
-		}
-		if land > maxTask {
-			maxTask = land
-			if maxTask >= localBest || maxTask > sharedP {
-				// Already enough to prune; the remaining ingredients could
-				// only raise the bound further.
-				return maxTask
+		i := s.order[j]
+		if screen {
+			if v := s.pr.LandingOn(i, d, pen, landArg[j]); v < localBest && v <= sharedP {
+				continue
 			}
 		}
-	}
-	if maxTask > lb {
-		lb = maxTask
+		land, at := s.pr.MinLandingAt(i, d, pen)
+		if land >= localBest || land > sharedP {
+			// Enough to prune, as a +Inf landing (no feasible machine)
+			// always is, so landArg never holds -1; the remaining
+			// ingredients could only raise the bound.
+			return true
+		}
+		landArg[j] = at
 	}
 	if spec {
 		// Machines already dedicated to a type stay dedicated, so the
 		// water-filling allocation floors each type at its current machine
 		// count.
-		if wf := waterfill(typeW, s.ded, m, s.alloc, s.quot) * sumSlack; wf > lb {
-			lb = wf
+		if wf, ok := allocQuot(typeW, s.ded, m, s.alloc); !ok || wf*sumSlack >= localBest || wf*sumSlack > sharedP {
+			if wf = waterfill(typeW, s.ded, m, s.alloc, s.quot) * sumSlack; wf >= localBest || wf > sharedP {
+				return true
+			}
 		}
-	} else if pk := total / float64(m) * sumSlack; pk > lb {
-		lb = pk
+	} else if pk := total / float64(m) * sumSlack; pk >= localBest || pk > sharedP {
+		return true
 	}
 	if s.ab != nil {
 		// One-to-one (relax.go): the combinatorial bound failed to prune
 		// and s.dlb/s.landArg are filled for this node.
-		if v, ok := s.assignmentBound(k); ok && v > lb {
-			lb = v
+		if v, ok := s.assignmentBound(k); ok && (v >= localBest || v > sharedP) {
+			return true
 		}
 	}
-	return lb
+	return false
 }
 
 // waterfill returns min over integer machine allocations
@@ -269,6 +293,30 @@ func waterfill(W []float64, ded []int, m int, alloc []int, quot []float64) float
 		}
 	}
 	return worst
+}
+
+// allocQuot is the allocation screen: when alloc is a valid water-filling
+// allocation for W and ded — every type with work holds at least
+// max(ded[t], 1) machines, and those counts sum to at most m — it returns
+// max_t W[t]/alloc[t] over the types with work and true, else false. The
+// quotients are waterfill's own expressions and the greedy allocation is
+// optimal among the valid ones, so the value is never below waterfill's,
+// and equal to it at the allocation waterfill leaves behind.
+func allocQuot(W []float64, ded []int, m int, alloc []int) (float64, bool) {
+	held, worst := 0, 0.0
+	for t, w := range W {
+		if w > 0 {
+			k := alloc[t]
+			if k < max(ded[t], 1) {
+				return 0, false
+			}
+			held += k
+			if q := w / float64(k); q > worst {
+				worst = q
+			}
+		}
+	}
+	return worst, held <= m
 }
 
 // --- shared search budget ------------------------------------------------

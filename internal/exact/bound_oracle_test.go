@@ -1,15 +1,17 @@
-// Oracle gates for the exact solver's lower bound (bound.go). The
+// Oracle gates for the exact solver's prune decision (bound.go). The
 // production bound keeps three of its ingredients up to date on assign —
 // the per-depth placed-work stack wAt, the dedicated-machine counts ded and
-// the feasibility penalty rows pen — and takes every landing minimum in one
-// core.(*Pricer).MinLandingAt pass. The oracle below rederives all of it
-// at every node: it re-sums the placed work per type from depth 0,
+// the feasibility penalty rows pen — takes every landing minimum in one
+// core.(*Pricer).MinLandingAt pass, and skips landing scans and the
+// water-filling behind screens that cannot change the decision, so it
+// never computes the bound's value in full. The oracle below rederives the
+// value at every node: it re-sums the placed work per type from depth 0,
 // rescans the machines for the dedicated counts, filters a PriceAllAt row
-// through feasible(), and water-fills without the quotient cache. The two
-// must agree bit for bit — not approximately, because the bound's
-// early-exit comparisons and the assignment bound's collision filter read
-// these values, and a single flipped bit could reshape the search tree.
-// Three layers pin this:
+// through feasible(), and water-fills without the quotient cache.
+// Production's decision must act on exactly the oracle's bits — not
+// approximately, because a single flipped bit could reshape the search
+// tree. checkDecision pins that by bracketing thresholds. Three layers
+// hold it:
 //
 //   - TestIncrementalBoundNodeIdentity and its one-to-one leg
 //     TestIncrementalBoundNodeIdentityRelaxForced: whole solves over the
@@ -17,14 +19,15 @@
 //     prunes with the oracle bound, on node counts, period bits and
 //     mapping; parallel solves must match its proven results;
 //   - FuzzBoundDelta: a random instance × rule × assign/backtrack walk;
-//     after every step the bound bits (at +Inf and at a landing-valued
-//     threshold), dlb and landArg must equal the oracle's, and the
-//     maintained wAt/ded/pen must equal a fresh recomputation — for the
-//     walked searcher and for a second one replaying the prefix through
-//     push, whose pop must restore it to pristine;
-//   - TestLowerBoundEarlyExitContract: an early bound exit leaves the
-//     suffix past the exit point unwritten and the maintained ingredients
-//     intact.
+//     after every step the decision must bracket the oracle's bound (and
+//     match it at landing-valued thresholds), dlb and the one-to-one
+//     landArg must equal the oracle's, and the maintained wAt/ded/pen must
+//     equal a fresh recomputation — for the walked searcher and for a
+//     second one replaying the prefix through push, whose pop must restore
+//     it to pristine;
+//   - TestLowerBoundEarlyExitContract: an early prune leaves the suffix
+//     past the exit point unwritten and the maintained ingredients intact,
+//     and a stale landing hint falls back to the full scan.
 //
 // Smoke-run the fuzzer locally or in CI with:
 //
@@ -68,8 +71,10 @@ func newBoundOracle(s *searcher) *boundOracle {
 	return o
 }
 
-// bound is lowerBound computed from scratch (same contract, same
-// thresholds). minLand/landArg are filled up to the exit point.
+// bound is the admissible lower bound of the node at depth k, computed
+// from scratch. With finite thresholds it returns early, as soon as the
+// value reaches localBest or exceeds sharedP, with a value that does;
+// minLand/landArg are filled up to the exit point.
 func (o *boundOracle) bound(k int, localBest, sharedP float64) float64 {
 	s := o.s
 	n := len(s.order)
@@ -155,6 +160,39 @@ func (o *boundOracle) bound(k int, localBest, sharedP float64) float64 {
 		}
 	}
 	return lb
+}
+
+// checkDecision requires production's prune decision at depth k to act on
+// exactly the bits of full, the oracle's bound for the node: a local
+// threshold (non-strict) prunes at full but not at the next float up, a
+// shared one (strict) at the next float down but not at full. A +Inf
+// bound must prune at +Inf thresholds. The non-pruning call runs first:
+// it scans every landing whose hint prices above full, so when a landing
+// attains full, the pruning call at full meets a hint that prices it
+// exactly — the case a non-strict landing screen would get wrong.
+func checkDecision(t testing.TB, s *searcher, k int, full float64, where string) {
+	t.Helper()
+	inf := math.Inf(1)
+	if math.IsInf(full, 1) {
+		if !s.prunes(k, inf, inf) {
+			t.Fatalf("%s: depth %d: +Inf bound does not prune at +Inf thresholds", where, k)
+		}
+		return
+	}
+	for _, c := range []struct {
+		local, shared float64
+		want          bool
+	}{
+		{math.Nextafter(full, inf), inf, false},
+		{full, inf, true},
+		{inf, math.Nextafter(full, -inf), true},
+		{inf, full, false},
+	} {
+		if got := s.prunes(k, c.local, c.shared); got != c.want {
+			t.Fatalf("%s: depth %d: prunes(local %v, shared %v) = %v around oracle bound %v (bits %x)",
+				where, k, c.local, c.shared, got, full, math.Float64bits(full))
+		}
+	}
 }
 
 // oracleWaterfill is waterfill without the quotient cache: every spare
@@ -442,10 +480,10 @@ func checkPristine(t testing.TB, s *searcher, where string) {
 	}
 }
 
-// FuzzBoundDelta: along any feasible assign/backtrack walk, the bound and
-// the ingredients it keeps up to date must equal the oracle's and a fresh
-// recomputation at every node, whether the node was reached by walking or
-// by a push replay of its prefix.
+// FuzzBoundDelta: along any feasible assign/backtrack walk, the prune
+// decision must act on the oracle's bound bits, and the ingredients kept up
+// to date must equal a fresh recomputation, at every node, whether the
+// node was reached by walking or by a push replay of its prefix.
 func FuzzBoundDelta(f *testing.F) {
 	f.Add([]byte("bound-delta-incremental"))
 	f.Add([]byte{6, 3, 2, 0, 120, 40, 1, 90, 0, 55, 2, 80, 1, 70, 3, 1, 2, 0, 1, 2})
@@ -480,48 +518,45 @@ func FuzzBoundDelta(f *testing.F) {
 		inf := math.Inf(1)
 		check := func(step int) {
 			s, k := w.s, w.depth()
-			where := "walk"
-			got := s.lowerBound(k, inf, inf)
-			want := o.bound(k, inf, inf)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("step %d depth %d: bound %v (bits %x), oracle %v (bits %x)",
-					step, k, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			// Filled positions: up to the first infeasible landing, whose
-			// +Inf trips the early exit even at +Inf thresholds.
+			full := o.bound(k, inf, inf)
+			checkDecision(t, s, k, full, "walk")
+			// The last call crossed no threshold at a finite bound, so it
+			// wrote every position; at a +Inf bound it stopped at the first
+			// infeasible landing, whose +Inf prunes even at +Inf thresholds.
+			// landArg is this node's argmin only under the assignment bound
+			// (elsewhere it is a hint) and is never written with -1.
 			for j := k; j < n; j++ {
 				if math.Float64bits(s.dlb[j]) != math.Float64bits(o.dlb[j]) {
 					t.Fatalf("step %d depth %d: dlb[%d] = %v, oracle %v", step, k, j, s.dlb[j], o.dlb[j])
 				}
-				if s.landArg != nil && s.landArg[j] != o.landArg[j] {
-					t.Fatalf("step %d depth %d: landArg[%d] = %d, oracle %d", step, k, j, s.landArg[j], o.landArg[j])
-				}
 				if math.IsInf(o.minLand[j], 1) {
 					break
 				}
+				if s.ab != nil && s.landArg[j] != o.landArg[j] {
+					t.Fatalf("step %d depth %d: landArg[%d] = %d, oracle %d", step, k, j, s.landArg[j], o.landArg[j])
+				}
 			}
-			checkMaintained(t, s, k, where)
+			checkMaintained(t, s, k, "walk")
 			if k < n {
 				// Early exits: a threshold equal to one of the node's
 				// landings, tested as the local (>=) and the shared (>)
 				// incumbent.
 				thr := o.minLand[k+step%(n-k)]
-				if math.IsInf(want, 1) {
+				if math.IsInf(full, 1) {
 					thr = o.minLand[k]
 				}
 				for _, th := range [][2]float64{{thr, inf}, {inf, thr}} {
-					wantE := o.bound(k, th[0], th[1])
-					if gotE := s.lowerBound(k, th[0], th[1]); math.Float64bits(gotE) != math.Float64bits(wantE) {
-						t.Fatalf("step %d depth %d thresholds %v: bound %v, oracle %v", step, k, th, gotE, wantE)
+					lbE := o.bound(k, th[0], th[1])
+					want := lbE >= th[0] || lbE > th[1]
+					if got := s.prunes(k, th[0], th[1]); got != want {
+						t.Fatalf("step %d depth %d thresholds %v: prunes = %v, oracle bound %v", step, k, th, got, lbE)
 					}
 				}
 			}
 			// The same node by push replay, then back to pristine by pop.
 			pfx := w.prefix()
 			replay.push(pfx)
-			if gotR := replay.lowerBound(k, inf, inf); math.Float64bits(gotR) != math.Float64bits(want) {
-				t.Fatalf("step %d depth %d: replayed bound %v, oracle %v", step, k, gotR, want)
-			}
+			checkDecision(t, replay, k, full, "replay")
 			checkMaintained(t, replay, k, "replay")
 			replay.pop(pfx)
 			checkPristine(t, replay, "pop")
@@ -561,12 +596,15 @@ func FuzzBoundDelta(f *testing.F) {
 	})
 }
 
-// TestLowerBoundEarlyExitContract pins the early-exit invariant from both
-// sides. From the root: when the bound returns early, the dlb/landArg
-// suffix past the exit point is untouched — poisoned sentinels survive —
-// and a +Inf call afterwards fills everything. One level down: the top
-// exit (current maximum alone) and a mid-loop exit return the oracle's
-// bits and leave the ingredients kept up to date on assign intact.
+// TestLowerBoundEarlyExitContract pins the early-exit invariant of the
+// prune decision from three sides. From the root: when a landing prunes,
+// the dlb suffix past the exit point is untouched — poisoned sentinels
+// survive, and landArg's too under the assignment bound — and a call that
+// prunes nothing afterwards fills everything. One level down: the top exit
+// (current maximum alone) and a mid-loop exit prune and leave the
+// ingredients kept up to date on assign intact. A stale hint: a landing
+// hint on a machine whose penalty row turned +Inf prices +Inf and falls
+// back to the full scan.
 func TestLowerBoundEarlyExitContract(t *testing.T) {
 	inf := math.Inf(1)
 	t.Run("from-scratch", func(t *testing.T) {
@@ -586,32 +624,35 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 			o := newBoundOracle(s)
 			// The root's first landing as the threshold forces the exit at
 			// j=0.
-			if lb := o.bound(0, inf, inf); math.IsInf(lb, 1) {
+			full := o.bound(0, inf, inf)
+			if math.IsInf(full, 1) {
 				t.Fatalf("%v: root bound is infinite; pick another instance", c.rule)
 			}
 			thr := o.minLand[0]
 			if thr <= 0 {
 				t.Fatalf("%v: first landing %v is not positive", c.rule, thr)
 			}
+			// Hints must name a machine; only the assignment bound's
+			// per-node argmins can be poisoned.
 			for j := range s.dlb {
 				s.dlb[j] = math.NaN() // poison: a write would be visible
-				if s.landArg != nil {
+				if s.ab != nil {
 					s.landArg[j] = -7
 				}
 			}
-			if lb := s.lowerBound(0, thr, inf); lb < thr {
-				t.Fatalf("%v: bound %v did not reach the exit threshold %v", c.rule, lb, thr)
+			if !s.prunes(0, thr, inf) {
+				t.Fatalf("%v: the first landing %v does not prune at itself", c.rule, thr)
 			}
 			for j := 1; j < n; j++ {
-				if !math.IsNaN(s.dlb[j]) || (s.landArg != nil && s.landArg[j] != -7) {
+				if !math.IsNaN(s.dlb[j]) || (s.ab != nil && s.landArg[j] != -7) {
 					t.Fatalf("%v: early exit filled position %d past the exit point", c.rule, j)
 				}
 			}
-			if lb := s.lowerBound(0, inf, inf); math.IsInf(lb, 1) {
-				t.Fatalf("%v: full bound is infinite: %v", c.rule, lb)
+			if s.prunes(0, math.Nextafter(full, inf), inf) {
+				t.Fatalf("%v: root prunes above its bound %v", c.rule, full)
 			}
 			for j := 0; j < n; j++ {
-				if math.IsNaN(s.dlb[j]) || (s.landArg != nil && s.landArg[j] == -7) {
+				if math.IsNaN(s.dlb[j]) || (s.ab != nil && s.landArg[j] == -7) {
 					t.Fatalf("%v: full fill left position %d poisoned", c.rule, j)
 				}
 			}
@@ -635,8 +676,8 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 
 		// Top-of-bound exit (the common pruned-node path): the current
 		// maximum already meets the threshold, so the walk never starts.
-		if lb := s.lowerBound(1, s.pr.Max(), s.pr.Max()); math.Float64bits(lb) != math.Float64bits(s.pr.Max()) {
-			t.Fatalf("top exit returned %v, want the current maximum %v", lb, s.pr.Max())
+		if !s.prunes(1, s.pr.Max(), s.pr.Max()) {
+			t.Fatalf("top exit: the current maximum %v does not prune at itself", s.pr.Max())
 		}
 		checkMaintained(t, s, 1, "top exit")
 
@@ -647,16 +688,59 @@ func TestLowerBoundEarlyExitContract(t *testing.T) {
 		if thr <= s.pr.Max() {
 			t.Fatalf("seed does not exercise the mid-loop exit: first landing %v under current max %v", thr, s.pr.Max())
 		}
-		if lb := s.lowerBound(1, thr, inf); math.Float64bits(lb) != math.Float64bits(thr) {
-			t.Fatalf("mid-loop exit returned %v, want the first landing %v", lb, thr)
+		if !s.prunes(1, thr, inf) {
+			t.Fatalf("mid-loop exit: the first landing %v does not prune at itself", thr)
 		}
 		checkMaintained(t, s, 1, "mid-loop exit")
 
-		// A full +Inf walk afterwards reproduces the oracle bit for bit.
-		if lb := s.lowerBound(1, inf, inf); math.Float64bits(lb) != math.Float64bits(full) {
-			t.Fatalf("full bound %v, oracle %v", lb, full)
-		}
+		// The decision afterwards still acts on the oracle's bits.
+		checkDecision(t, s, 1, full, "after exits")
 		w.backtrack()
 		checkPristine(t, s, "backtrack")
+	})
+
+	t.Run("stale-hint", func(t *testing.T) {
+		in := symmetricInstanceF(t, 10, 2, 5, 3, 0.005, 0.05, 404)
+		sv, err := newSolver(in, Options{Rule: core.Specialized})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sv.newSearcher(nil)
+		o := newBoundOracle(s)
+		if lb := o.bound(0, inf, inf); math.IsInf(lb, 1) {
+			t.Fatalf("root bound is infinite: %v", lb)
+		}
+		// A later position of another type than order[0], hinted at its
+		// root argmin; placing order[0] there closes that machine to it.
+		j, ty0 := -1, in.App.Type(s.order[0])
+		for jj := 1; jj < len(s.order); jj++ {
+			if in.App.Type(s.order[jj]) != ty0 {
+				j = jj
+				break
+			}
+		}
+		if j < 0 {
+			t.Fatal("every task has the root's type; pick another instance")
+		}
+		u := o.landArg[j]
+		s.landArg[j] = u
+		w := &boundWalker{s: s}
+		w.descend(u)
+		full := o.bound(1, inf, inf)
+		if math.IsInf(full, 1) {
+			t.Fatalf("depth-1 bound is infinite; pick another instance")
+		}
+		ty := int(in.App.Type(s.order[j]))
+		if got := s.pr.LandingOn(s.order[j], o.dlb[j], s.pen[ty*s.m:ty*s.m+s.m], u); !math.IsInf(got, 1) {
+			t.Fatalf("hint M%d of position %d is still open after the root took it: %v", u+1, j, got)
+		}
+		if s.prunes(1, inf, inf) {
+			t.Fatalf("depth 1 prunes at +Inf thresholds under a finite bound %v", full)
+		}
+		if s.landArg[j] != o.landArg[j] {
+			t.Fatalf("stale hint M%d at position %d was not rescanned: hint M%d, oracle argmin M%d",
+				u+1, j, s.landArg[j]+1, o.landArg[j]+1)
+		}
+		checkDecision(t, s, 1, full, "stale hint")
 	})
 }

@@ -39,14 +39,18 @@ func TestLowerBoundAdmissible(t *testing.T) {
 		order := in.App.ReverseTopological()
 		for depth := 0; depth <= n; depth += 1 + rng.Intn(2) {
 			prefix := feasiblePrefix(in, rule, order, depth, func(int) int { return rng.Int() })
-			lb := boundAt(t, in, rule, prefix)
+			s, lb := boundAt(t, in, rule, prefix)
 			opt, done := completionOptimum(in, rule, order, prefix, 2_000_000)
-			if !done {
+			if !done || math.IsInf(opt, 1) {
 				continue
 			}
 			if lb > opt*(1+1e-9) {
 				t.Fatalf("trial %d rule %v depth %d: bound %v exceeds completion optimum %v (prefix %v)",
 					trial, rule, len(prefix), lb, opt, prefix)
+			}
+			if prunesAbove(s, len(prefix), opt*(1+1e-9)) {
+				t.Fatalf("trial %d rule %v depth %d: node pruned against its completion optimum %v (prefix %v)",
+					trial, rule, len(prefix), opt, prefix)
 			}
 		}
 	}
@@ -95,7 +99,13 @@ func TestBoundPreservesOptimum(t *testing.T) {
 }
 
 // TestWaterfill pins the type-count allocation bound on hand-checked
-// cases.
+// cases, then enumerates every allocation for small m and p. allocQuot
+// must accept exactly the valid allocations — each type with work holding
+// at least max(ded, 1) machines, at most m in all — and price each at or
+// above waterfill, bit for bit; waterfill must be the minimum over them
+// (the greedy's optimality, which makes the allocation screen an upper
+// bound), and allocQuot at waterfill's own allocation must return
+// waterfill's bits.
 func TestWaterfill(t *testing.T) {
 	alloc := make([]int, 4)
 	quot := make([]float64, 4)
@@ -128,6 +138,65 @@ func TestWaterfill(t *testing.T) {
 		}
 		if math.Abs(got-tc.want) > 1e-12 && !(math.IsInf(got, 1) && math.IsInf(tc.want, 1)) {
 			t.Errorf("case %d: waterfill(%v, ded %v, m=%d) = %v, want %v", i, tc.W, tc.ded, tc.m, got, tc.want)
+		}
+	}
+
+	// Every allocation for small m and p, over random work totals
+	// (zero-work types included) and dedicated floors.
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		m := 1 + rng.Intn(5)
+		p := 1 + rng.Intn(3)
+		W := make([]float64, p)
+		ded := make([]int, p)
+		for ty := range W {
+			if rng.Intn(4) > 0 {
+				W[ty] = float64(1+rng.Intn(1000)) / float64(1+rng.Intn(7))
+			}
+			ded[ty] = rng.Intn(m + 1)
+		}
+		alloc, quot := make([]int, p), make([]float64, p)
+		wf := waterfill(W, ded, m, alloc, quot)
+		if !math.IsInf(wf, 1) {
+			if v, ok := allocQuot(W, ded, m, alloc); !ok || math.Float64bits(v) != math.Float64bits(wf) {
+				t.Fatalf("trial %d (W %v, ded %v, m=%d): allocQuot at waterfill's allocation %v = (%v, %v), waterfill %v",
+					trial, W, ded, m, alloc, v, ok, wf)
+			}
+		}
+		best := math.Inf(1)
+		a := make([]int, p)
+		var rec func(ty int)
+		rec = func(ty int) {
+			if ty < p {
+				for c := 0; c <= m+1; c++ {
+					a[ty] = c
+					rec(ty + 1)
+				}
+				return
+			}
+			valid, held := true, 0
+			for ty, w := range W {
+				if w > 0 {
+					valid = valid && a[ty] >= max(ded[ty], 1)
+					held += a[ty]
+				}
+			}
+			valid = valid && held <= m
+			v, ok := allocQuot(W, ded, m, a)
+			if ok != valid {
+				t.Fatalf("trial %d (W %v, ded %v, m=%d): allocQuot(%v) valid=%v, want %v", trial, W, ded, m, a, ok, valid)
+			}
+			if !ok {
+				return
+			}
+			if v < wf {
+				t.Fatalf("trial %d (W %v, ded %v, m=%d): allocation %v prices %v below waterfill %v", trial, W, ded, m, a, v, wf)
+			}
+			best = min(best, v)
+		}
+		rec(0)
+		if math.Float64bits(best) != math.Float64bits(wf) {
+			t.Fatalf("trial %d (W %v, ded %v, m=%d): best valid allocation %v, waterfill %v", trial, W, ded, m, best, wf)
 		}
 	}
 }

@@ -29,12 +29,17 @@
 //     (relax.go; Options.DisableAssignBound ablates) — never exceeds the
 //     best completion of the node, so a node whose bound reaches the
 //     incumbent is pruned without visiting its subtree
-//     (Options.DisableBound ablates). The bound is evaluated at every
-//     node, but its ingredients that change only when a task is placed
-//     — placed work per type, dedicated-machine counts, per-type
-//     feasibility penalty rows — are kept up to date on assign, and
-//     every unplaced task's cheapest landing is one fused
-//     core.(*Pricer).MinLandingAt pass.
+//     (Options.DisableBound ablates). The search asks only whether a node
+//     prunes, so the bound is evaluated at every node as that yes/no
+//     decision: each ingredient is tested against the incumbents as it is
+//     derived. A task's cheapest landing is first priced on the machine
+//     that won its last landing scan (core.(*Pricer).LandingOn) and
+//     scanned in full (MinLandingAt) only when that price could prune;
+//     the water-filling reruns only when the allocation it last left could
+//     prune. Both screens price upper bounds, bit for bit, so the decision
+//     is the full bound's. The ingredients that change only when a task is
+//     placed — placed work per type, dedicated-machine counts, per-type
+//     feasibility penalty rows — are kept up to date on assign.
 //   - A best-first child order plus a greedy restart dive: before the
 //     systematic pass, one un-metered greedy descent (take the feasible
 //     machine with the smallest resulting load at every depth — the H4
@@ -278,15 +283,20 @@ type searcher struct {
 	pen []float64
 	ded []int
 	wAt []float64
-	// bound scratch (see lowerBound): demand lower bounds per order
-	// position, per-type work, water-filling allocation and quotients.
+	// bound scratch (see prunes): demand lower bounds per order position,
+	// per-type work, water-filling allocation and quotients. alloc keeps
+	// the last water-filling allocation between nodes for the allocation
+	// screen.
 	dlb   []float64
 	typeW []float64
 	alloc []int
 	quot  []float64
-	// landArg records, per order position, each unplaced task's cheapest
-	// feasible landing machine (-1 none). Allocated only for the one-to-one
-	// assignment bound, whose collision filter reads it (relax.go).
+	// landArg records, per order position, the machine that won the last
+	// landing scan there (never -1: a task with no feasible landing
+	// prunes first). It is the landing screen's hint; under the one-to-one
+	// assignment bound every position is scanned at every node, so it
+	// holds this node's argmins, which the collision filter reads
+	// (relax.go).
 	landArg []int
 
 	// ab is the one-to-one bottleneck-assignment bound's workspace
@@ -533,7 +543,7 @@ func (sv *solver) newSearcher(shared *incumbent) *searcher {
 }
 
 // makeSearcher builds a searcher; bound=false is the stripped variant
-// greedyDive uses — the dive never computes lowerBound, so it skips the
+// greedyDive uses — the dive never calls prunes, so it skips the
 // bound scratch and the ingredients kept up to date on assign, which
 // would otherwise be allocated and maintained on every Solve (the dive
 // runs unconditionally). The dive donates its pristine searcher back
@@ -590,15 +600,16 @@ func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 			s.wAt, floats = floats[:(n+1)*p:(n+1)*p], floats[(n+1)*p:]
 			s.typeW, floats = floats[:p:p], floats[p:]
 			s.quot, s.pen = floats[:p:p], floats[p:]
-			ints := make([]int, 2*p)
+			ints := make([]int, n+2*p)
+			s.landArg, ints = ints[:n:n], ints[n:]
 			s.ded, s.alloc = ints[:p:p], ints[p:]
 		} else {
 			floats := make([]float64, n+m)
 			s.dlb, s.pen = floats[:n:n], floats[n:]
+			s.landArg = make([]int, n)
 		}
 		if sv.rule == core.OneToOne && !sv.noAssign {
 			s.ab = newAssignBound(m)
-			s.landArg = make([]int, n)
 		}
 	}
 	return s
@@ -627,7 +638,7 @@ func (s *searcher) dfs(k int) {
 		// against the local one: an optimal subtree (bound <= optimum <=
 		// shared) is then never lost to another worker's find, which keeps
 		// the parallel result deterministic (see parallel.go).
-		if lb := s.lowerBound(k, s.bestPeriod, sharedP); lb >= s.bestPeriod || lb > sharedP {
+		if s.prunes(k, s.bestPeriod, sharedP) {
 			return
 		}
 	}

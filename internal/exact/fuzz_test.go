@@ -13,6 +13,7 @@
 package exact
 
 import (
+	"math"
 	"testing"
 
 	"microfab/internal/app"
@@ -139,14 +140,18 @@ func FuzzExactBound(f *testing.F) {
 		depth := p.intn(in.N() + 1)
 		prefix := feasiblePrefix(in, rule, order, depth, func(int) int { return int(p.next()) })
 
-		lb := boundAt(t, in, rule, prefix)
+		s, lb := boundAt(t, in, rule, prefix)
 		opt, done := completionOptimum(in, rule, order, prefix, 2_000_000)
-		if !done {
-			return // oracle budget hit; nothing to assert
+		if !done || math.IsInf(opt, 1) {
+			return // oracle budget hit, or no completion to be admissible to
 		}
 		if lb > opt*(1+1e-9) {
 			t.Fatalf("inadmissible bound: %v exceeds completion optimum %v (rule %v, prefix %v, n=%d m=%d)",
 				lb, opt, rule, prefix, in.N(), in.M())
+		}
+		if prunesAbove(s, len(prefix), opt*(1+1e-9)) {
+			t.Fatalf("inadmissible decision: node pruned against its completion optimum %v (rule %v, prefix %v, n=%d m=%d)",
+				opt, rule, prefix, in.N(), in.M())
 		}
 	})
 }

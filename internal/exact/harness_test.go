@@ -158,9 +158,10 @@ func feasiblePrefix(in *core.Instance, rule core.Rule, order []app.TaskID, depth
 	return prefix
 }
 
-// boundAt replays a prefix on a fresh searcher and returns the solver's
-// admissible lower bound for that node.
-func boundAt(t testing.TB, in *core.Instance, rule core.Rule, prefix []platform.MachineID) float64 {
+// boundAt replays a prefix on a fresh searcher and returns it with the
+// oracle's admissible lower bound for that node, after checking that the
+// searcher's prune decision acts on exactly that bound (checkDecision).
+func boundAt(t testing.TB, in *core.Instance, rule core.Rule, prefix []platform.MachineID) (*searcher, float64) {
 	t.Helper()
 	sv, err := newSolver(in, Options{Rule: rule})
 	if err != nil {
@@ -168,7 +169,19 @@ func boundAt(t testing.TB, in *core.Instance, rule core.Rule, prefix []platform.
 	}
 	s := sv.newSearcher(nil)
 	s.push(prefix)
-	// +Inf thresholds: the admissibility harness wants the full bound
-	// value, never the early pruning exit.
-	return s.lowerBound(len(prefix), math.Inf(1), math.Inf(1))
+	lb := newBoundOracle(s).bound(len(prefix), math.Inf(1), math.Inf(1))
+	checkDecision(t, s, len(prefix), lb, "boundAt")
+	return s, lb
+}
+
+// prunesAbove reports whether s prunes the node at depth k against an
+// incumbent of period limit: locally at the next float above it, or as a
+// shared incumbent of exactly limit — either means the bound exceeds limit.
+// An admissible decision does neither at the node's completion optimum,
+// up to the 1e-9 relative slack the admissibility tests grant:
+// completionOptimum prices leaves with core.Period's compensated sums,
+// which can land an ulp below the search's own load sums.
+func prunesAbove(s *searcher, k int, limit float64) bool {
+	inf := math.Inf(1)
+	return s.prunes(k, math.Nextafter(limit, inf), inf) || s.prunes(k, inf, limit)
 }

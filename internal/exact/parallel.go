@@ -110,7 +110,7 @@ func (s *searcher) expand(prefix []platform.MachineID, dst [][]platform.MachineI
 	k := len(prefix)
 	sharedP := s.shared.load()
 	if s.bnd != nil {
-		if lb := s.lowerBound(k, s.bestPeriod, sharedP); lb >= s.bestPeriod || lb > sharedP {
+		if s.prunes(k, s.bestPeriod, sharedP) {
 			return dst
 		}
 	}

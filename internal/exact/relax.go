@@ -8,15 +8,16 @@
 // The bound runs behind a lossless filter: the bottleneck value exceeds the
 // combinatorial bound's cheapest-landing maximum *iff* the min-landing
 // assignment is not itself a matching, i.e. two unplaced tasks share an
-// argmin machine. lowerBound's main loop records each task's argmin for
-// free, so the matcher runs only after an O(n-k) duplicate scan finds a
-// collision.
+// argmin machine. The prune decision's landing loop (prunes, bound.go)
+// records each task's argmin for free — it scans every landing when this
+// bound is on — so the matcher runs only after an O(n-k) duplicate scan
+// finds a collision.
 //
 // The rule decides whether the bound exists, not a gate: the searcher
 // builds it for one-to-one searches with the bound on
 // (Options.DisableAssignBound ablates), and it runs at every node the
 // combinatorial bound fails to prune. Its value is therefore a pure
-// function of the node, like the rest of lowerBound. Under the Specialized
+// function of the node, like the rest of the bound. Under the Specialized
 // and General rules distinct tasks may share a machine and the bound does
 // not apply.
 //
@@ -52,10 +53,10 @@ func newAssignBound(m int) *assignBound {
 // true, or false when the bound cannot beat the combinatorial one: the
 // unplaced tasks' cheapest-landing machines are pairwise distinct, so the
 // min-landing assignment is itself a feasible matching and its value is
-// exactly the cheapest-landing maximum lowerBound already has. +Inf proves
+// exactly the cheapest-landing maximum prunes has already tested. +Inf proves
 // the node infeasible — more unplaced tasks than free machines, or no
 // perfect matching at all. Requires s.dlb and s.landArg filled for depth k
-// (lowerBound's main loop).
+// (prunes' landing loop).
 func (s *searcher) assignmentBound(k int) (float64, bool) {
 	ab := s.ab
 	n := len(s.order)
@@ -69,16 +70,14 @@ func (s *searcher) assignmentBound(k int) (float64, bool) {
 	if nr > nc {
 		return math.Inf(1), true
 	}
-	// A task with no feasible landing (u < 0) counts as a collision, so the
-	// matcher runs and proves +Inf.
+	// Every landArg is a feasible machine: a task with none has a +Inf
+	// landing, which prunes before this bound runs.
 	ab.stamp++
 	collide := false
 	for j := k; j < n && !collide; j++ {
 		u := s.landArg[j]
-		collide = u < 0 || ab.seen[u] == ab.stamp
-		if u >= 0 {
-			ab.seen[u] = ab.stamp
-		}
+		collide = ab.seen[u] == ab.stamp
+		ab.seen[u] = ab.stamp
 	}
 	if !collide {
 		return 0, false

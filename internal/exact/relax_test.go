@@ -21,9 +21,11 @@ import (
 )
 
 // assignAt replays a prefix on a fresh one-to-one searcher and runs the
-// full bound (+Inf thresholds), which fills the per-node scratch the
-// assignment bound reads (dlb, landArg). assignmentBound is then directly
-// callable for the replayed depth.
+// prune decision at +Inf thresholds. Under the assignment bound it scans
+// every landing, and at a node with a free machine per unplaced task no
+// landing is +Inf, so the call fills the per-node scratch the assignment
+// bound reads (dlb, landArg). assignmentBound is then directly callable
+// for the replayed depth.
 func assignAt(t testing.TB, in *core.Instance, prefix []platform.MachineID) *searcher {
 	t.Helper()
 	sv, err := newSolver(in, Options{Rule: core.OneToOne})
@@ -32,12 +34,13 @@ func assignAt(t testing.TB, in *core.Instance, prefix []platform.MachineID) *sea
 	}
 	s := sv.newSearcher(nil)
 	s.push(prefix)
-	s.lowerBound(len(prefix), math.Inf(1), math.Inf(1))
+	s.prunes(len(prefix), math.Inf(1), math.Inf(1))
 	return s
 }
 
-// combinatorialAt is boundAt with the assignment bound ablated: the bound
-// the one-to-one relaxation has to beat.
+// combinatorialAt is the oracle's bound with the assignment bound
+// ablated — the bound the one-to-one relaxation has to beat — checked
+// against the ablated searcher's decision like boundAt.
 func combinatorialAt(t testing.TB, in *core.Instance, prefix []platform.MachineID) float64 {
 	t.Helper()
 	sv, err := newSolver(in, Options{Rule: core.OneToOne, DisableAssignBound: true})
@@ -46,7 +49,9 @@ func combinatorialAt(t testing.TB, in *core.Instance, prefix []platform.MachineI
 	}
 	s := sv.newSearcher(nil)
 	s.push(prefix)
-	return s.lowerBound(len(prefix), math.Inf(1), math.Inf(1))
+	lb := newBoundOracle(s).bound(len(prefix), math.Inf(1), math.Inf(1))
+	checkDecision(t, s, len(prefix), lb, "combinatorialAt")
+	return lb
 }
 
 // oneToOneCorpus is the one-to-one slice of the differential corpus.
@@ -242,7 +247,7 @@ func TestOneToOneAssignBoundNodeRatio(t *testing.T) {
 func TestOneToOneBoundHistoryFree(t *testing.T) {
 	in := otoN18(t)
 	inf := math.Inf(1)
-	bound := func(warm bool) (float64, int64) {
+	searcherAt := func(warm bool) *searcher {
 		sv, err := newSolver(in, Options{Rule: core.OneToOne})
 		if err != nil {
 			t.Fatal(err)
@@ -253,14 +258,17 @@ func TestOneToOneBoundHistoryFree(t *testing.T) {
 			s.best, s.bestPeriod = nil, inf
 			s.dfs(0)
 		}
-		return s.lowerBound(0, inf, inf), s.meter.used
+		return s
 	}
-	want, _ := bound(false)
-	got, used := bound(true)
-	if math.Float64bits(got) != math.Float64bits(want) {
+	fresh, warm := searcherAt(false), searcherAt(true)
+	want := newBoundOracle(fresh).bound(0, inf, inf)
+	// The oracle runs the warm searcher's own assignment-bound workspace,
+	// and the warm searcher's decision must act on the fresh bound's bits.
+	if got := newBoundOracle(warm).bound(0, inf, inf); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("root bound after %d nodes = %v (bits %x), fresh searcher %v (bits %x)",
-			used, got, math.Float64bits(got), want, math.Float64bits(want))
+			warm.meter.used, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
+	checkDecision(t, warm, 0, want, "warm root")
 	if comb := combinatorialAt(t, in, nil); !(want > comb) {
 		t.Fatalf("root bound %v does not beat the combinatorial bound %v", want, comb)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"microfab/internal/app"
 	"microfab/internal/core"
@@ -48,40 +48,47 @@ func H2(in *core.Instance, _ *rand.Rand, opts Options) (*core.Mapping, error) {
 // of task i in machine u's ascending execution-time order.
 func rankPriorities(in *core.Instance) [][]platform.MachineID {
 	n, m := in.N(), in.M()
-	rank := make([][]int, n)
-	for i := range rank {
-		rank[i] = make([]int, m)
-	}
+	tim := core.TimeTable(in)
+	// Times are validated finite and positive, so sorting by (time, index)
+	// is a total order that reproduces a stable sort by time.
+	rank := make([]int, n*m)
 	idx := make([]int, n)
 	for u := 0; u < m; u++ {
 		for i := range idx {
 			idx[i] = i
 		}
-		mu := platform.MachineID(u)
-		sort.SliceStable(idx, func(a, b int) bool {
-			return in.Platform.Time(app.TaskID(idx[a]), mu) < in.Platform.Time(app.TaskID(idx[b]), mu)
+		slices.SortFunc(idx, func(a, b int) int {
+			if ta, tb := tim[a*m+u], tim[b*m+u]; ta != tb {
+				if ta < tb {
+					return -1
+				}
+				return 1
+			}
+			return a - b
 		})
 		for r, i := range idx {
-			rank[i][u] = r + 1
+			rank[i*m+u] = r + 1
 		}
 	}
 	prio := make([][]platform.MachineID, n)
-	for i := 0; i < n; i++ {
-		ms := make([]platform.MachineID, m)
+	slab := make([]platform.MachineID, n*m)
+	for i := range prio {
+		ms := slab[i*m : i*m+m : i*m+m]
 		for u := range ms {
 			ms[u] = platform.MachineID(u)
 		}
-		id := app.TaskID(i)
-		sort.SliceStable(ms, func(a, b int) bool {
-			ra, rb := rank[i][ms[a]], rank[i][ms[b]]
-			if ra != rb {
-				return ra < rb
+		rk, w := rank[i*m:i*m+m], tim[i*m:i*m+m]
+		slices.SortFunc(ms, func(a, b platform.MachineID) int {
+			if rk[a] != rk[b] {
+				return rk[a] - rk[b]
 			}
-			wa, wb := in.Platform.Time(id, ms[a]), in.Platform.Time(id, ms[b])
-			if wa != wb {
-				return wa < wb
+			if w[a] != w[b] {
+				if w[a] < w[b] {
+					return -1
+				}
+				return 1
 			}
-			return ms[a] < ms[b]
+			return int(a) - int(b)
 		})
 		prio[i] = ms
 	}
@@ -119,7 +126,7 @@ func binarySearch(in *core.Instance, opts Options, pick pickFunc) (*core.Mapping
 	lo, hi := 0.0, bestPeriod
 	gran := opts.granularity()
 	for iter := 0; hi-lo > gran && iter < opts.maxIters(); iter++ {
-		mid := lo + (hi-lo)/2
+		mid := lo + float64((hi-lo)/2)
 		if m, p, ok := attempt(mid); ok {
 			if p < bestPeriod {
 				best, bestPeriod = m, p

@@ -2,6 +2,8 @@ package heuristics
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"microfab/internal/app"
@@ -290,5 +292,71 @@ func TestSingleMachineSingleType(t *testing.T) {
 	want := (1/0.9 + 1/0.81 + 1/0.729) * 100
 	if got := core.Period(in, mp); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("period = %v, want %v", got, want)
+	}
+}
+
+// TestRankPrioritiesStableOrder pins rankPriorities to its definition as
+// two stable sorts by execution time — tasks per machine, then machines
+// per task by (rank, time, index) — on instances whose times are rounded
+// so that ties are common.
+func TestRankPrioritiesStableOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		base := randomChain(t, seed, 12, 3, 7)
+		n, m := base.N(), base.M()
+		w := make([][]float64, n)
+		for i := range w {
+			w[i] = make([]float64, m)
+			for u := range w[i] {
+				w[i][u] = 100 * math.Ceil(base.Platform.Time(app.TaskID(i), platform.MachineID(u))/100)
+			}
+		}
+		pl, err := platform.New(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := core.NewInstance(base.App, pl, base.Failures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := func(i int, u platform.MachineID) float64 { return in.Platform.Time(app.TaskID(i), u) }
+		rank := make([][]int, n)
+		for i := range rank {
+			rank[i] = make([]int, m)
+		}
+		for u := 0; u < m; u++ {
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			sort.SliceStable(idx, func(a, b int) bool { return tm(idx[a], platform.MachineID(u)) < tm(idx[b], platform.MachineID(u)) })
+			for r, i := range idx {
+				rank[i][u] = r + 1
+			}
+		}
+		got := rankPriorities(in)
+		ties := 0
+		for i := 0; i < n; i++ {
+			want := make([]platform.MachineID, m)
+			for u := range want {
+				want[u] = platform.MachineID(u)
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				if ra, rb := rank[i][want[a]], rank[i][want[b]]; ra != rb {
+					return ra < rb
+				}
+				return tm(i, want[a]) < tm(i, want[b])
+			})
+			for r := 1; r < m; r++ {
+				if tm(i, want[r]) == tm(i, want[r-1]) {
+					ties++
+				}
+			}
+			if !slices.Equal(got[i], want) {
+				t.Fatalf("seed %d task %d: priorities %v, stable sorts %v", seed, i, got[i], want)
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("seed %d: no tied times; the rounding no longer exercises ties", seed)
+		}
 	}
 }

@@ -200,7 +200,7 @@ func waterfillLoads(in *core.Instance, i app.TaskID, demand float64, cands []pla
 	done := false
 	for j := 1; j < k; j++ {
 		next := load[cands[ord[j]]]
-		seg := sumRate * (next - level)
+		seg := float64(sumRate * (next - level))
 		if produced+seg >= demand {
 			level += (demand - produced) / sumRate
 			done = true

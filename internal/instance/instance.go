@@ -137,11 +137,18 @@ func Save(path string, in *core.Instance, comment string) error {
 	return FromInstance(in, comment).Write(fd)
 }
 
-// MappingJSON serialises an allocation.
+// MappingJSON serialises an allocation. The solver that wrote it may add
+// what it knows about the mapping; readers need only Assign.
 type MappingJSON struct {
 	Comment string `json:"comment,omitempty"`
 	// Assign[i] is the machine index of task i.
 	Assign []int `json:"assign"`
+	// Period is the mapping's period in ms, when the writer evaluated it.
+	Period float64 `json:"period,omitempty"`
+	// Proven and Nodes come from an exact solve: whether its search proved
+	// the period optimal, and how many nodes it explored.
+	Proven *bool `json:"proven,omitempty"`
+	Nodes  int64 `json:"nodes,omitempty"`
 }
 
 // FromMapping converts a mapping to its file form.
@@ -162,11 +169,11 @@ func (mj *MappingJSON) ToMapping() *core.Mapping {
 	return m
 }
 
-// WriteMapping encodes a mapping as indented JSON.
-func WriteMapping(w io.Writer, m *core.Mapping, comment string) error {
+// Write encodes the mapping file as indented JSON.
+func (mj *MappingJSON) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(FromMapping(m, comment))
+	return enc.Encode(mj)
 }
 
 // ReadMapping decodes a mapping from JSON.

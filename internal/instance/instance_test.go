@@ -120,7 +120,7 @@ func TestMappingRoundTrip(t *testing.T) {
 	m.Assign(1, 0)
 	m.Assign(2, 1)
 	var buf bytes.Buffer
-	if err := WriteMapping(&buf, m, "map"); err != nil {
+	if err := FromMapping(m, "map").Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadMapping(&buf)

@@ -64,7 +64,7 @@ func (m *Model) SolveWithLimit(iterLimit int) (*Solution, error) {
 		sol.X[v] = m.lower[v] + xs[std.col[v]]
 	}
 	for v := 0; v < m.numVars; v++ {
-		sol.Objective += m.obj[v] * sol.X[v]
+		sol.Objective += float64(m.obj[v] * sol.X[v])
 	}
 	return sol, nil
 }
@@ -141,7 +141,7 @@ func (m *Model) standardize(ws *workspace) (*standard, bool) {
 		for _, c := range row {
 			// Substituting x = lo + x' moves c·lo to the RHS for both
 			// fixed and shifted variables.
-			rhs -= c.Val * m.lower[c.Var]
+			rhs -= float64(c.Val * m.lower[c.Var])
 			if s.fixed[c.Var] {
 				continue
 			}
@@ -328,7 +328,7 @@ func (t *tableau) priceOut() {
 		}
 		row := t.a[r]
 		for j := 0; j <= t.nCols; j++ {
-			z[j] -= cb * row[j]
+			z[j] -= float64(cb * row[j])
 		}
 	}
 }
@@ -418,14 +418,14 @@ func (t *tableau) pivot(r, c int, z []float64) {
 			continue
 		}
 		for _, j := range nz {
-			ri[j] -= f * row[j]
+			ri[j] -= float64(f * row[j])
 		}
 		ri[c] = 0
 	}
 	if z != nil {
 		if f := z[c]; f != 0 {
 			for _, j := range nz {
-				z[j] -= f * row[j]
+				z[j] -= float64(f * row[j])
 			}
 			z[c] = 0
 		}

@@ -184,7 +184,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if opts.Incumbent != nil {
 		obj := 0.0
 		for v := 0; v < model.NumVars(); v++ {
-			obj += model.ObjCoef(v) * opts.Incumbent[v]
+			obj += float64(model.ObjCoef(v) * opts.Incumbent[v])
 		}
 		res.X = append([]float64(nil), opts.Incumbent...)
 		res.Objective = obj

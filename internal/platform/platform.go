@@ -120,7 +120,7 @@ func (p *Platform) Heterogeneity() []float64 {
 		var varsum float64
 		for i := 0; i < n; i++ {
 			d := p.w[i][u] - mean
-			varsum += d * d
+			varsum += float64(d * d)
 		}
 		h[u] = math.Sqrt(varsum / float64(n))
 	}

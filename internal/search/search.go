@@ -141,7 +141,7 @@ type Result struct {
 // improveEps is the strict-improvement tolerance: a move must beat the
 // incumbent by more than a relative 1e-9 to be accepted, so float noise
 // in the incremental sums cannot drive endless neutral-move cycles.
-func improveEps(p float64) float64 { return 1e-9 * math.Max(1, p) }
+func improveEps(p float64) float64 { return float64(1e-9 * math.Max(1, p)) }
 
 const noType app.TypeID = -1
 
@@ -455,7 +455,7 @@ func (e *engine) candidateGroup(u platform.MachineID) bool {
 // price (ulp scale, orders of magnitude below eps), so a skipped probe is
 // provably one the descent would have rejected — the screens never change
 // the result (TestScreenResultInvariant).
-func screenMargin(cur float64) float64 { return cur - improveEps(cur)/2 }
+func screenMargin(cur float64) float64 { return cur - float64(improveEps(cur)/2) }
 
 // relocScores fills the scoring scratch with, per machine v, a sound
 // lower bound on the period after relocating task i to v — all m targets
@@ -489,7 +489,7 @@ func (e *engine) relocScores(i app.TaskID) []float64 {
 	fu := inflRow[e.ev.Machine(i)]
 	for v := 0; v < m; v++ {
 		if s := e.slope[v]; s != 0 {
-			e.score[v] += (inflRow[v]/fu - 1) * s
+			e.score[v] += float64((inflRow[v]/fu - 1) * s)
 		}
 	}
 	return e.score
@@ -526,8 +526,8 @@ func (e *engine) swapRejected(i, j app.TaskID, thresh float64) bool {
 	dj, _ := e.ev.Demand(j)
 	newCi := (e.inflT[bi+int(v)] * di) * e.timT[bi+int(v)]
 	newCj := (e.inflT[bj+int(u)] * dj) * e.timT[bj+int(u)]
-	lb := (e.ev.MachinePeriod(v)-e.ev.Contribution(j))*(si*sj) + newCi*sj
-	if o := (e.ev.MachinePeriod(u)-e.ev.Contribution(i))*(si*sj) + newCj*si; o > lb {
+	lb := float64((e.ev.MachinePeriod(v)-e.ev.Contribution(j))*(si*sj)) + float64(newCi*sj)
+	if o := float64((e.ev.MachinePeriod(u)-e.ev.Contribution(i))*(si*sj)) + float64(newCj*si); o > lb {
 		lb = o
 	}
 	return lb >= thresh

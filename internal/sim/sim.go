@@ -323,7 +323,7 @@ func PlanBatches(in *core.Instance, mp *core.Mapping, xout float64, margin float
 	for k, v := range plan.PerSource {
 		// The 1e-9 slack keeps float noise (e.g. 220.0000000000003)
 		// from bumping a batch by one product.
-		out[k] = int64(math.Ceil(v*margin - 1e-9))
+		out[k] = int64(math.Ceil(float64(v*margin) - 1e-9))
 	}
 	return out, nil
 }

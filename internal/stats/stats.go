@@ -31,7 +31,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(n-1)
 }
@@ -69,8 +69,8 @@ func Quantile(xs []float64, q float64) float64 {
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	frac := float64(pos) - float64(lo)
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Summary condenses a sample.
