@@ -2,16 +2,17 @@
 // machine-readable JSON report, so CI can archive the performance
 // trajectory of the hot loops (core Assign/Swap pricing, exact-solver
 // nodes/s, search probes/s) as a build artifact instead of a log line
-// humans have to diff by eye. With -compare it doubles as the regression
-// gate: the fresh run is diffed against a committed baseline report and
-// the exit status says whether any hot loop regressed.
+// humans have to diff by eye. With -base it doubles as the regression
+// gate: the runs on stdin (the change) are compared with the runs of a
+// base revision measured on the same machine, and the exit status says
+// whether any hot loop regressed.
 //
 // Usage:
 //
 //	go test -run='^$' -bench . -benchtime 1x ./... | mfbench -out BENCH.json
 //	mfbench < bench.txt                  # JSON on stdout
 //	mfbench -label pr5 < bench.txt
-//	mfbench -compare bench/baseline.json -threshold 20 < bench.txt
+//	mfbench -base base.txt -threshold 20 < head.txt
 //
 // Every `BenchmarkName-P  N  <value> <unit> ...` line becomes one entry
 // with the iteration count and a unit -> value map covering ns/op, B/op,
@@ -21,12 +22,16 @@
 // lines were found — an empty artifact means the bench step silently
 // broke.
 //
-// Compare mode gates only the benchmarks present in BOTH reports (new
-// benchmarks pass by default, renamed ones silently leave the gate — keep
-// the baseline fresh): ns/op may not grow by more than the threshold, and
-// throughput ("/s") metrics may not drop by more than it. Everything else
-// (B/op, allocs/op, iteration counts) is archived but not gated, because
-// those are exact and the dedicated allocation tests already pin them.
+// Compare mode reads both sides as `go test -bench` text, each holding
+// one or more runs of every benchmark (bench/paired.sh appends
+// alternating rounds), and takes each metric's median over a side's runs.
+// It gates the benchmarks measured on both sides: the change's median
+// ns/op may not exceed the base's by more than the threshold, and its
+// median throughput ("/s") metrics may not fall short by more than it.
+// A benchmark measured on one side only (added, deleted or renamed) is
+// listed but not gated. Everything else (B/op, allocs/op, iteration
+// counts) is archived but not gated, because those are exact and the
+// dedicated allocation tests already pin them.
 package main
 
 import (
@@ -71,8 +76,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
 func main() {
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	label := flag.String("label", "", "optional run label recorded in the report")
-	baselinePath := flag.String("compare", "", "baseline report to gate against; regressions beyond -threshold exit non-zero")
-	threshold := flag.Float64("threshold", 20, "regression threshold in percent for -compare (ns/op growth, '/s' drop)")
+	basePath := flag.String("base", "", "`go test -bench` output of the base revision to gate against; regressions beyond -threshold exit non-zero")
+	threshold := flag.Float64("threshold", 20, "regression threshold in percent for -base (median ns/op growth, '/s' drop)")
 	flag.Parse()
 
 	report := parseBench(os.Stdin, *label)
@@ -86,7 +91,7 @@ func main() {
 		os.Exit(1)
 	}
 	buf = append(buf, '\n')
-	if *out == "" && *baselinePath == "" {
+	if *out == "" && *basePath == "" {
 		os.Stdout.Write(buf)
 		return
 	}
@@ -97,18 +102,23 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "mfbench: %d benchmarks -> %s\n", len(report.Benchmarks), *out)
 	}
-	if *baselinePath == "" {
+	if *basePath == "" {
 		return
 	}
-	base, err := readReport(*baselinePath)
+	f, err := os.Open(*basePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfbench:", err)
 		os.Exit(1)
 	}
-	regressions, gated, err := compareReports(base, report, *threshold)
+	base := parseBench(f, "base")
+	f.Close()
+	regressions, oneSided, gated, err := compareReports(base, report, *threshold)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfbench:", err)
 		os.Exit(1)
+	}
+	for _, n := range oneSided {
+		fmt.Fprintln(os.Stderr, "mfbench: not gated:", n)
 	}
 	for _, r := range regressions {
 		fmt.Fprintln(os.Stderr, "mfbench: FAIL:", r)
@@ -117,7 +127,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mfbench: gate failed: %d findings over %d gated benchmarks (limit %.0f%%)\n", len(regressions), gated, *threshold)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "mfbench: gate passed: %d benchmarks within %.0f%% of %s\n", gated, *threshold, *baselinePath)
+	fmt.Fprintf(os.Stderr, "mfbench: gate passed: %d benchmarks within %.0f%% of %s\n", gated, *threshold, *basePath)
 }
 
 // parseBench reads a `go test -bench` text stream into a Report.
@@ -155,90 +165,88 @@ func parseBench(r io.Reader, label string) Report {
 	return report
 }
 
-// readReport loads a JSON report written by a previous run.
-func readReport(path string) (Report, error) {
-	var rep Report
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != "microfab-bench/v1" {
-		return rep, fmt.Errorf("%s: schema %q, want microfab-bench/v1", path, rep.Schema)
-	}
-	return rep, nil
-}
-
-// compareReports diffs the current run against the baseline over the
-// benchmarks present in both (matched by name). A benchmark regresses when
-// its ns/op grew by more than threshold percent, or any of its throughput
-// metrics (unit ending in "/s") dropped by more than threshold percent.
-// A baseline entry the run did not measure is a failure too: otherwise a
-// deleted or renamed benchmark would drop out of the gate silently.
-// It returns the failure descriptions (deterministic order) and how
-// many benchmarks the gate actually covered. A gate that covered nothing
-// is an error, not a clean zero-value diff: after a benchmark rename the
-// two reports share no names and a silent pass would retire the gate —
-// the diagnostic names both sides so the rename is obvious.
-func compareReports(base, cur Report, threshold float64) (regressions []string, gated int, err error) {
-	baseByName := make(map[string]Entry, len(base.Benchmarks))
-	for _, e := range base.Benchmarks {
-		baseByName[e.Name] = e
-	}
-	names := make([]string, 0, len(cur.Benchmarks))
-	curByName := make(map[string]Entry, len(cur.Benchmarks))
-	for _, e := range cur.Benchmarks {
-		if _, dup := curByName[e.Name]; dup {
-			continue // -count>1 reruns: gate on the first measurement
+// medians maps each benchmark of r to the median of each of its metrics
+// over the runs that report it, and returns the names in sorted order.
+func medians(r Report) (map[string]map[string]float64, []string) {
+	runs := map[string]map[string][]float64{}
+	for _, e := range r.Benchmarks {
+		if runs[e.Name] == nil {
+			runs[e.Name] = map[string][]float64{}
 		}
-		curByName[e.Name] = e
-		names = append(names, e.Name)
+		for unit, v := range e.Metrics {
+			runs[e.Name][unit] = append(runs[e.Name][unit], v)
+		}
+	}
+	med := make(map[string]map[string]float64, len(runs))
+	names := make([]string, 0, len(runs))
+	for name, units := range runs {
+		med[name] = make(map[string]float64, len(units))
+		for unit, vs := range units {
+			sort.Float64s(vs)
+			k := len(vs) / 2
+			if len(vs)%2 == 1 {
+				med[name][unit] = vs[k]
+			} else {
+				med[name][unit] = (vs[k-1] + vs[k]) / 2
+			}
+		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	var missing []string
-	for name := range baseByName {
-		if _, ok := curByName[name]; !ok {
-			missing = append(missing, name)
+	return med, names
+}
+
+// compareReports diffs the change's runs (cur) against the base's over the
+// benchmarks measured on both sides, matched by name, on each metric's
+// median over a side's runs. A benchmark regresses when its median ns/op
+// grew by more than threshold percent, or the median of any of its
+// throughput metrics (unit ending in "/s") dropped by more than threshold
+// percent. It returns the regressions and the benchmarks measured on one
+// side only (both in deterministic order), and how many benchmarks the
+// gate actually covered. A gate that covered nothing is an error, not a
+// clean zero-value diff: after a rename of every benchmark the two sides
+// share no names and a silent pass would retire the gate — the diagnostic
+// names both sides so the rename is obvious.
+func compareReports(base, cur Report, threshold float64) (regressions, oneSided []string, gated int, err error) {
+	baseMed, baseNames := medians(base)
+	curMed, curNames := medians(cur)
+	for _, name := range baseNames {
+		if _, ok := curMed[name]; !ok {
+			oneSided = append(oneSided, name+": measured on the base only")
 		}
-	}
-	sort.Strings(missing)
-	for _, name := range missing {
-		regressions = append(regressions,
-			fmt.Sprintf("%s: in the baseline but not measured by this run (deleted or renamed? update the baseline and the -bench regex together)", name))
 	}
 	frac := threshold / 100
-	for _, name := range names {
-		b, ok := baseByName[name]
+	for _, name := range curNames {
+		b, ok := baseMed[name]
 		if !ok {
+			oneSided = append(oneSided, name+": measured on the change only")
 			continue
 		}
-		c := curByName[name]
+		c := curMed[name]
 		covered := false
-		if bn, cn := b.Metrics["ns/op"], c.Metrics["ns/op"]; bn > 0 && cn > 0 {
+		if bn, cn := b["ns/op"], c["ns/op"]; bn > 0 && cn > 0 {
 			covered = true
 			if cn > bn*(1+frac) {
 				regressions = append(regressions,
-					fmt.Sprintf("%s: ns/op %.4g -> %.4g (+%.1f%%, limit %.0f%%)", name, bn, cn, 100*(cn/bn-1), threshold))
+					fmt.Sprintf("%s: median ns/op %.4g -> %.4g (+%.1f%%, limit %.0f%%)", name, bn, cn, 100*(cn/bn-1), threshold))
 			}
 		}
-		units := make([]string, 0, len(b.Metrics))
-		for unit := range b.Metrics {
+		units := make([]string, 0, len(b))
+		for unit := range b {
 			if strings.HasSuffix(unit, "/s") {
 				units = append(units, unit)
 			}
 		}
 		sort.Strings(units)
 		for _, unit := range units {
-			bv, cv := b.Metrics[unit], c.Metrics[unit]
+			bv, cv := b[unit], c[unit]
 			if bv <= 0 || cv <= 0 {
 				continue
 			}
 			covered = true
 			if cv < bv*(1-frac) {
 				regressions = append(regressions,
-					fmt.Sprintf("%s: %s %.4g -> %.4g (-%.1f%%, limit %.0f%%)", name, unit, bv, cv, 100*(1-cv/bv), threshold))
+					fmt.Sprintf("%s: median %s %.4g -> %.4g (-%.1f%%, limit %.0f%%)", name, unit, bv, cv, 100*(1-cv/bv), threshold))
 			}
 		}
 		if covered {
@@ -246,29 +254,22 @@ func compareReports(base, cur Report, threshold float64) (regressions []string, 
 		}
 	}
 	if gated == 0 {
-		return nil, 0, fmt.Errorf(
-			"baseline shares no gateable benchmark names with this run — the gate would check nothing (renamed benchmarks? regenerate the baseline)\n  baseline has: %s\n  this run has: %s",
-			sampleNames(base), sampleNames(cur))
+		return nil, oneSided, 0, fmt.Errorf(
+			"base and change share no gateable benchmark names — the gate would check nothing (renamed benchmarks?)\n  base has: %s\n  change has: %s",
+			sampleNames(baseNames), sampleNames(curNames))
 	}
-	return regressions, gated, nil
+	return regressions, oneSided, gated, nil
 }
 
-// sampleNames lists up to five benchmark names of a report for the
+// sampleNames lists up to five of the given benchmark names for the
 // no-overlap diagnostic.
-func sampleNames(r Report) string {
-	if len(r.Benchmarks) == 0 {
+func sampleNames(names []string) string {
+	if len(names) == 0 {
 		return "(no benchmarks)"
 	}
-	names := make([]string, 0, 5)
-	for _, e := range r.Benchmarks {
-		names = append(names, e.Name)
-		if len(names) == 5 {
-			break
-		}
-	}
-	s := strings.Join(names, ", ")
-	if len(r.Benchmarks) > 5 {
-		s += fmt.Sprintf(", … (%d total)", len(r.Benchmarks))
+	s := strings.Join(names[:min(len(names), 5)], ", ")
+	if len(names) > 5 {
+		s += fmt.Sprintf(", … (%d total)", len(names))
 	}
 	return s
 }

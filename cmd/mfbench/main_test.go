@@ -65,79 +65,92 @@ func TestCompareReports(t *testing.T) {
 	base := report(a, b)
 	baseA, baseB := report(a), report(b)
 
-	// Within threshold on every shared benchmark: clean gate over 2 entries.
+	// Within threshold on every shared benchmark: clean gate over 2
+	// entries; a benchmark on one side only is listed, never gated.
 	cur := report(
 		entry("BenchmarkA", map[string]float64{"ns/op": 115}),
 		entry("BenchmarkB", map[string]float64{"ns/op": 900, "nodes/s": 4.5e6}),
-		entry("BenchmarkNew", map[string]float64{"ns/op": 1e9}), // not in baseline: never gated
+		entry("BenchmarkNew", map[string]float64{"ns/op": 1e9}),
 	)
-	regs, gated, err := compareReports(base, cur, 20)
-	if err != nil || len(regs) != 0 || gated != 2 {
-		t.Fatalf("clean run flagged: regs=%v gated=%d err=%v", regs, gated, err)
+	regs, oneSided, gated, err := compareReports(base, cur, 20)
+	if err != nil || len(regs) != 0 || gated != 2 || len(oneSided) != 1 || !strings.Contains(oneSided[0], "BenchmarkNew: measured on the change only") {
+		t.Fatalf("clean run flagged: regs=%v oneSided=%v gated=%d err=%v", regs, oneSided, gated, err)
 	}
 
-	// A baseline entry the run did not measure (a deleted or renamed
-	// benchmark) fails the gate instead of dropping out of it.
+	// A base benchmark the change did not measure (deleted or renamed) is
+	// listed as well, and does not fail the gate.
 	withGone := report(a, b, entry("BenchmarkGone", map[string]float64{"ns/op": 50}))
-	regs, gated, err = compareReports(withGone, cur, 20)
-	if err != nil || len(regs) != 1 || gated != 2 || !strings.Contains(regs[0], "BenchmarkGone") {
-		t.Fatalf("unmeasured baseline entry not flagged: regs=%v gated=%d err=%v", regs, gated, err)
+	regs, oneSided, gated, err = compareReports(withGone, cur, 20)
+	if err != nil || len(regs) != 0 || gated != 2 || len(oneSided) != 2 || !strings.Contains(oneSided[0], "BenchmarkGone: measured on the base only") {
+		t.Fatalf("base-only benchmark: regs=%v oneSided=%v gated=%d err=%v", regs, oneSided, gated, err)
 	}
 
 	// ns/op growth beyond the threshold must be flagged.
 	cur = report(entry("BenchmarkA", map[string]float64{"ns/op": 130}))
-	regs, gated, _ = compareReports(baseA, cur, 20)
+	regs, _, gated, _ = compareReports(baseA, cur, 20)
 	if len(regs) != 1 || gated != 1 || !strings.Contains(regs[0], "BenchmarkA") {
 		t.Fatalf("30%% ns/op growth not flagged: regs=%v gated=%d", regs, gated)
 	}
 
 	// A throughput drop is a regression even when ns/op looks fine.
 	cur = report(entry("BenchmarkB", map[string]float64{"ns/op": 1000, "nodes/s": 3e6}))
-	regs, _, _ = compareReports(baseB, cur, 20)
+	regs, _, _, _ = compareReports(baseB, cur, 20)
 	if len(regs) != 1 || !strings.Contains(regs[0], "nodes/s") {
 		t.Fatalf("40%% nodes/s drop not flagged: %v", regs)
 	}
 
 	// Throughput growth and ns/op shrink never trip the gate.
 	cur = report(entry("BenchmarkB", map[string]float64{"ns/op": 10, "nodes/s": 5e8}))
-	if regs, _, _ = compareReports(baseB, cur, 20); len(regs) != 0 {
+	if regs, _, _, _ = compareReports(baseB, cur, 20); len(regs) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", regs)
 	}
 
 	// Exactly at the limit passes; a hair over fails.
 	cur = report(entry("BenchmarkA", map[string]float64{"ns/op": 120}))
-	if regs, _, _ = compareReports(baseA, cur, 20); len(regs) != 0 {
+	if regs, _, _, _ = compareReports(baseA, cur, 20); len(regs) != 0 {
 		t.Fatalf("exactly +20%% flagged: %v", regs)
 	}
 	cur = report(entry("BenchmarkA", map[string]float64{"ns/op": 120.2}))
-	if regs, _, _ = compareReports(baseA, cur, 20); len(regs) != 1 {
+	if regs, _, _, _ = compareReports(baseA, cur, 20); len(regs) != 1 {
 		t.Fatalf("+20.2%% not flagged: %v", regs)
 	}
 
-	// Disjoint reports (the post-rename shape) are a hard error with a
+	// Disjoint sides (the post-rename shape) are a hard error with a
 	// diagnostic naming both sides — never a clean zero-value diff.
-	regs, gated, err = compareReports(base, report(entry("BenchmarkOther", map[string]float64{"ns/op": 1})), 20)
+	regs, _, gated, err = compareReports(base, report(entry("BenchmarkOther", map[string]float64{"ns/op": 1})), 20)
 	if err == nil || len(regs) != 0 || gated != 0 {
 		t.Fatalf("disjoint compare not rejected: regs=%v gated=%d err=%v", regs, gated, err)
 	}
-	for _, want := range []string{"BenchmarkA", "BenchmarkOther", "baseline"} {
+	for _, want := range []string{"BenchmarkA", "BenchmarkOther", "base"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("disjoint diagnostic %q does not mention %q", err, want)
 		}
 	}
 	// Same failure when names overlap but none carries a gateable metric.
-	_, _, err = compareReports(baseA, report(entry("BenchmarkA", map[string]float64{"B/op": 12})), 20)
+	_, _, _, err = compareReports(baseA, report(entry("BenchmarkA", map[string]float64{"B/op": 12})), 20)
 	if err == nil {
 		t.Fatal("metric-free overlap passed the gate")
 	}
 
-	// -count>1 duplicate lines: only the first measurement is gated.
-	cur = Report{Schema: "microfab-bench/v1", Benchmarks: []Entry{
-		entry("BenchmarkA", map[string]float64{"ns/op": 110}),
-		entry("BenchmarkA", map[string]float64{"ns/op": 990}),
-	}}
-	if regs, _, _ = compareReports(baseA, cur, 20); len(regs) != 0 {
-		t.Fatalf("duplicate rerun gated: %v", regs)
+	// Repeated runs are compared on their medians: one slow outlier
+	// round on either side moves nothing, a slow majority fails.
+	runs := func(name string, ns ...float64) Report {
+		var r Report
+		for _, v := range ns {
+			r.Benchmarks = append(r.Benchmarks, entry(name, map[string]float64{"ns/op": v}))
+		}
+		return r
+	}
+	base5 := runs("BenchmarkA", 100, 104, 98, 300, 101)
+	if regs, _, _, _ = compareReports(base5, runs("BenchmarkA", 990, 110, 99, 103, 105), 20); len(regs) != 0 {
+		t.Fatalf("one outlier round gated: %v", regs)
+	}
+	if regs, _, _, _ = compareReports(base5, runs("BenchmarkA", 130, 131, 99, 129, 102), 20); len(regs) != 1 || !strings.Contains(regs[0], "median ns/op 101 -> 129") {
+		t.Fatalf("slow majority not flagged on its median: %v", regs)
+	}
+	// An even run count takes the mean of the middle two.
+	if med, _ := medians(runs("BenchmarkA", 4, 1, 3, 2)); med["BenchmarkA"]["ns/op"] != 2.5 {
+		t.Fatalf("even-count median %v, want 2.5", med["BenchmarkA"]["ns/op"])
 	}
 }
 
@@ -156,7 +169,7 @@ ok  	microfab/internal/core	9.262s
 	if rep.Benchmarks[2].Metrics["nodes/s"] != 5045648 {
 		t.Fatalf("nodes/s lost: %+v", rep.Benchmarks[2])
 	}
-	if regs, gated, err := compareReports(rep, rep, 20); err != nil || len(regs) != 0 || gated != 3 {
-		t.Fatalf("self-compare: regs=%v gated=%d err=%v", regs, gated, err)
+	if regs, oneSided, gated, err := compareReports(rep, rep, 20); err != nil || len(regs) != 0 || len(oneSided) != 0 || gated != 3 {
+		t.Fatalf("self-compare: regs=%v oneSided=%v gated=%d err=%v", regs, oneSided, gated, err)
 	}
 }

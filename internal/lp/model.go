@@ -2,8 +2,9 @@
 // bounded variables and <=/==/>= rows, solved by a two-phase primal simplex
 // (Dantzig pricing with an automatic switch to Bland's rule to break
 // degeneracy cycles). The tableau is stored densely, but each pivot updates
-// only the pivot row's nonzero columns, and each Model keeps its tableau
-// storage across solves. A Model is therefore for sequential use: solve
+// only the pivot row's nonzero columns of the rows its ratio test found
+// nonzero in the entering column, and each Model keeps its tableau storage
+// across solves. A Model is therefore for sequential use: solve
 // concurrently on Clones, which share nothing.
 //
 // It substitutes for the commercial solver (CPLEX) the paper uses to obtain

@@ -198,7 +198,10 @@ func (m *Model) standardize(ws *workspace) (*standard, bool) {
 
 // tableau is the dense simplex tableau: a is nRows × (nCols+1) with the RHS
 // in the last column; basis[i] is the basic column of row i. Its slices are
-// views into storage kept across solves, refilled in place by load.
+// views into storage kept across solves, refilled in place by load. A pivot
+// touches only the pivot row's nonzero columns (nz) of the rows whose entry
+// in the entering column is nonzero (rows, mult); the ratio test records
+// those rows as it reads the column, so each pivot reads it once.
 type tableau struct {
 	nRows, nCols int
 	nStruct      int // structural columns (prefix of 0..nStruct-1)
@@ -215,6 +218,10 @@ type tableau struct {
 	cost, z []float64
 	// nz lists the nonzero columns of the last pivot row.
 	nz []int32
+	// rows lists, in ascending order, the rows with a nonzero entry in
+	// the entering column, and mult[k] is row rows[k]'s entry there.
+	rows []int32
+	mult []float64
 }
 
 // load fills t with the initial tableau of s. Columns: structural, one
@@ -242,6 +249,8 @@ func (t *tableau) load(s *standard) {
 		t.a = append(t.a, t.store[r*width:(r+1)*width:(r+1)*width])
 	}
 	t.basis = grow(t.basis, nRows)
+	t.rows = grow(t.rows, nRows)[:0]
+	t.mult = grow(t.mult, nRows)[:0]
 
 	slack := s.nVars
 	art := t.artStart
@@ -333,11 +342,17 @@ func (t *tableau) priceOut() {
 	}
 }
 
-// iterate pivots until optimal/unbounded or the iteration cap. In phase 2
-// artificial columns are banned from entering; in phase 1 they are already
-// basic or zero-reduced-cost, so they never win the pricing.
+// iterate pivots until optimal/unbounded or the iteration cap. Pricing
+// scans z[:limit]: every column in phase 1, where artificials are basic or
+// zero-reduced-cost and so never win, and no artificial in phase 2, where
+// they are banned from re-entering. The ratio test is the only pass over
+// the entering column: it also records the rows pivot eliminates.
 func (t *tableau) iterate(iterLimit int, phase1 bool) (Status, int) {
 	z := t.z
+	limit := t.artStart
+	if phase1 {
+		limit = t.nCols
+	}
 	stall := 0
 	lastObj := math.Inf(1)
 	for iter := 0; ; iter++ {
@@ -347,16 +362,13 @@ func (t *tableau) iterate(iterLimit int, phase1 bool) (Status, int) {
 		bland := stall > 2*t.nRows+50
 		enter := -1
 		best := -costTol
-		for j := 0; j < t.nCols; j++ {
-			if !phase1 && j >= t.artStart {
-				break // artificials never re-enter in phase 2
-			}
-			if z[j] < best {
+		for j, zj := range z[:limit] {
+			if zj < best {
 				if bland {
 					enter = j
 					break
 				}
-				best = z[j]
+				best = zj
 				enter = j
 			}
 		}
@@ -366,22 +378,29 @@ func (t *tableau) iterate(iterLimit int, phase1 bool) (Status, int) {
 		// Ratio test (Bland ties on the smallest basis column).
 		leave := -1
 		bestRatio := math.Inf(1)
-		for r := 0; r < t.nRows; r++ {
-			arj := t.a[r][enter]
+		rows, mult := t.rows[:0], t.mult[:0]
+		for r, row := range t.a {
+			arj := row[enter]
+			if arj == 0 {
+				continue
+			}
+			rows = append(rows, int32(r))
+			mult = append(mult, arj)
 			if arj <= pivotTol {
 				continue
 			}
-			ratio := t.a[r][t.nCols] / arj
+			ratio := row[t.nCols] / arj
 			if ratio < bestRatio-1e-12 ||
 				(ratio < bestRatio+1e-12 && (leave < 0 || t.basis[r] < t.basis[leave])) {
 				bestRatio = ratio
 				leave = r
 			}
 		}
+		t.rows, t.mult = rows, mult
 		if leave < 0 {
 			return Unbounded, iter
 		}
-		t.pivot(leave, enter, z)
+		t.pivot(leave, enter, rows, mult, z)
 		obj := -z[t.nCols]
 		if obj < lastObj-1e-12 {
 			stall = 0
@@ -392,12 +411,14 @@ func (t *tableau) iterate(iterLimit int, phase1 bool) (Status, int) {
 	}
 }
 
-// pivot makes column c basic in row r, updating all rows and the cost row
-// z (nil: no cost row). Only the pivot row's nonzero columns are updated:
-// x − f·0 == x, so skipping its zeros leaves every nonzero entry
-// bit-identical to the dense update (only the sign of a zero can differ,
-// which no comparison sees).
-func (t *tableau) pivot(r, c int, z []float64) {
+// pivot makes column c basic in row r, updating the cost row z (nil: no
+// cost row) and the rows listed in rows, which must be every row with a
+// nonzero entry in column c, each with that entry in mult (r may be among
+// them). Every other row has a zero there and is left as it is. Only the
+// pivot row's nonzero columns are updated: x − f·0 == x, so skipping its
+// zeros leaves every nonzero entry bit-identical to the dense update (only
+// the sign of a zero can differ, which no comparison sees).
+func (t *tableau) pivot(r, c int, rows []int32, mult []float64, z []float64) {
 	row := t.a[r]
 	inv := 1 / row[c]
 	nz := t.nz[:0]
@@ -409,14 +430,12 @@ func (t *tableau) pivot(r, c int, z []float64) {
 	}
 	row[c] = 1 // exact
 	t.nz = nz
-	for i, ri := range t.a {
-		if i == r {
+	for k, i := range rows {
+		if int(i) == r {
 			continue
 		}
-		f := ri[c]
-		if f == 0 {
-			continue
-		}
+		f := mult[k]
+		ri := t.a[i]
 		for _, j := range nz {
 			ri[j] -= float64(f * row[j])
 		}
@@ -452,7 +471,15 @@ func (t *tableau) evictArtificials() {
 			}
 		}
 		if best >= 0 {
-			t.pivot(r, best, nil)
+			rows, mult := t.rows[:0], t.mult[:0]
+			for i, ri := range t.a {
+				if f := ri[best]; f != 0 {
+					rows = append(rows, int32(i))
+					mult = append(mult, f)
+				}
+			}
+			t.rows, t.mult = rows, mult
+			t.pivot(r, best, rows, mult, nil)
 			r++
 			continue
 		}

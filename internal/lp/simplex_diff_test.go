@@ -81,6 +81,41 @@ func mutateBounds(rng *rand.Rand, m *lp.Model) {
 	}
 }
 
+// bealeLP builds Beale's cycling LP, min -0.75x1 + 150x2 - 0.02x3 + 6x4
+// over three LE rows, on which Dantzig pricing cycles until the simplex
+// switches to Bland's rule. objScale scales the objective, rowScale[r]
+// row r, colScale[v] variable v's column, rowOrder gives the order rows
+// are added in and col[v] the model column of variable v; extra variables
+// after the four (with zero cost, in no Beale row) are left for the
+// caller. Every variant reaches the Beale optimum -0.05·objScale.
+func bealeLP(objScale float64, rowScale, colScale []float64, rowOrder, col []int, extra int) *lp.Model {
+	obj := []float64{-0.75, 150, -0.02, 6}
+	rows := [][]float64{{0.25, -60, -1.0 / 25, 9}, {0.5, -90, -1.0 / 50, 3}, {0, 0, 1, 0}}
+	rhs := []float64{0, 0, 1}
+	m := lp.NewModel(4 + extra)
+	for v, c := range obj {
+		m.SetObj(col[v], objScale*c*colScale[v])
+	}
+	for _, r := range rowOrder {
+		var cs []lp.Coef
+		for v, a := range rows[r] {
+			if a != 0 {
+				cs = append(cs, lp.Coef{Var: col[v], Val: rowScale[r] * a * colScale[v]})
+			}
+		}
+		m.AddRow(cs, lp.LE, rowScale[r]*rhs[r])
+	}
+	return m
+}
+
+// addRedundantPair adds x_u + x_v == 2 and 2x_u + 2x_v == 4: phase 1
+// leaves the second row's artificial basic at zero with every other entry
+// of its row zero, so evictArtificials deletes that row.
+func addRedundantPair(m *lp.Model, u, v int) {
+	m.AddRow([]lp.Coef{{Var: u, Val: 1}, {Var: v, Val: 1}}, lp.EQ, 2)
+	m.AddRow([]lp.Coef{{Var: u, Val: 2}, {Var: v, Val: 2}}, lp.EQ, 4)
+}
+
 type namedModel struct {
 	name string
 	md   *milp.Model
@@ -132,6 +167,60 @@ func TestSimplexMatchesDenseOracle(t *testing.T) {
 			}
 		}
 		t.Logf("outcomes: %v", seen)
+	})
+	t.Run("bland", func(t *testing.T) {
+		one3, one4 := []float64{1, 1, 1}, []float64{1, 1, 1, 1}
+		inOrder, identity := []int{0, 1, 2}, []int{0, 1, 2, 3}
+		beale := func() *lp.Model { return bealeLP(1, one3, one4, inOrder, identity, 0) }
+		cases := []struct {
+			name  string
+			build func() *lp.Model
+			// stdRows is the standard form's row count; a tableau that
+			// ends with fewer deleted a redundant row.
+			stdRows   int
+			bland     bool
+			redundant bool
+		}{
+			{"beale", beale, 3, true, false},
+			{"beale-obj-x1000", func() *lp.Model { return bealeLP(1000, one3, one4, inOrder, identity, 0) }, 3, true, false},
+			{"beale-obj-x3-row3-x7", func() *lp.Model { return bealeLP(3, []float64{1, 1, 7}, one4, inOrder, identity, 0) }, 3, true, false},
+			{"beale-rows-half-cols-x2", func() *lp.Model {
+				return bealeLP(1, []float64{0.5, 0.5, 1}, []float64{2, 2, 2, 2}, inOrder, identity, 0)
+			}, 3, true, false},
+			{"beale-x3-x2", func() *lp.Model { return bealeLP(64, one3, []float64{1, 1, 2, 1}, inOrder, identity, 0) }, 3, true, false},
+			{"beale-permuted", func() *lp.Model { return bealeLP(1, one3, one4, []int{2, 0, 1}, []int{0, 2, 1, 3}, 0) }, 3, true, false},
+			{"beale-redundant", func() *lp.Model {
+				m := bealeLP(1, one3, one4, inOrder, identity, 2)
+				addRedundantPair(m, 4, 5)
+				return m
+			}, 5, true, true},
+			{"redundant", func() *lp.Model {
+				m := lp.NewModel(3)
+				m.SetObj(0, 1)
+				m.SetObj(1, -1)
+				m.SetObj(2, 2)
+				addRedundantPair(m, 0, 1)
+				m.AddRow([]lp.Coef{{Var: 1, Val: 1}, {Var: 2, Val: -1}}, lp.LE, 1)
+				return m
+			}, 3, false, true},
+		}
+		for _, c := range cases {
+			m := c.build()
+			sol := checkOracle(t, m, lp.DefaultIterLimit, c.name)
+			if sol.Status != lp.Optimal {
+				t.Fatalf("%s: %v, want optimal", c.name, sol.Status)
+			}
+			rows := lp.TableauRows(m)
+			if blandAt := 2*rows + 50; c.bland && sol.Iterations <= blandAt {
+				t.Errorf("%s: %d pivots on %d rows: never switched to Bland's rule", c.name, sol.Iterations, rows)
+			} else if c.bland {
+				// Stop one pivot short of the optimum as well.
+				checkOracle(t, m, sol.Iterations-1, c.name+" capped")
+			}
+			if c.redundant && rows >= c.stdRows {
+				t.Errorf("%s: tableau ends with %d of %d rows: no redundant row deleted", c.name, rows, c.stdRows)
+			}
+		}
 	})
 	t.Run("campaign", func(t *testing.T) {
 		for k, c := range campaignModels(t) {

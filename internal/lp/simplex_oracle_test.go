@@ -400,6 +400,10 @@ func (t *denseTableau) evictArtificials() {
 // DefaultIterLimit is the pivot cap Solve applies.
 const DefaultIterLimit = defaultIterLimit
 
+// TableauRows is the row count of m's tableau after its last solve: the
+// standard form's rows less those evictArtificials deleted as redundant.
+func TableauRows(m *Model) int { return m.ws.tab.nRows }
+
 // DenseSolve exposes the oracle to the external test package, which can
 // import model builders (milp) that themselves import lp.
 func DenseSolve(m *Model, iterLimit int) (*Solution, error) { return m.denseSolve(iterLimit) }

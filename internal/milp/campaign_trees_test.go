@@ -152,7 +152,19 @@ func TestCampaignTreesGolden(t *testing.T) {
 // campaigns' 100-node budget. lp_pivots/op is its simplex pivot count, fixed
 // by the search tree, so ns/op moves with the per-pivot cost alone.
 func BenchmarkMIPCampaignDraw(b *testing.B) {
-	d := treeDraw{Fig: 10, N: 5, Seed: 1}
+	benchmarkDraw(b, treeDraw{Fig: 10, N: 5, Seed: 1})
+}
+
+// BenchmarkMIPCampaignDrawFig12 is BenchmarkMIPCampaignDraw on the smallest
+// Figure 12 point (n=5, m=9, p=4), the campaigns' largest tableau and their
+// costliest draw shape.
+func BenchmarkMIPCampaignDrawFig12(b *testing.B) {
+	benchmarkDraw(b, treeDraw{Fig: 12, N: 5, Seed: 1})
+}
+
+// benchmarkDraw solves d warm-started at the campaign budget per op and
+// reports its pivot count.
+func benchmarkDraw(b *testing.B, d treeDraw) {
 	b.ReportAllocs()
 	pivots := 0
 	for b.Loop() {

@@ -1,8 +1,10 @@
 // Package mip solves mixed-integer programs by LP-based branch and bound:
 // best-bound node selection, most-fractional branching, an optional warm
 // incumbent, and a rounding-dive primal heuristic. It is the exact layer
-// the paper obtains from CPLEX; on the paper's instance sizes (n <= 15-20
-// tasks) it proves optimality in seconds.
+// the paper obtains from CPLEX. On the paper's Figure 10–12 models it
+// proves small draws within a campaign's node budget but stops proving
+// past about 15 tasks, as the paper's MIP does; a search that stops early
+// reports Feasible or Budget with its proven Bound.
 package mip
 
 import (
@@ -21,6 +23,18 @@ const intTol = 1e-6
 // diveEvery is the node period of the rounding-dive heuristic: it runs at
 // nodes 1, 1+diveEvery, 1+2·diveEvery, ...
 const diveEvery = 50
+
+// pivotCap, when positive, replaces the LP's default pivot cap for every
+// solve of the search; only tests set it.
+var pivotCap int
+
+// solveLP solves model under the search's pivot cap.
+func solveLP(model *lp.Model) (*lp.Solution, error) {
+	if pivotCap > 0 {
+		return model.SolveWithLimit(pivotCap)
+	}
+	return model.Solve()
+}
 
 // Problem couples an LP model with integrality requirements.
 type Problem struct {
@@ -56,14 +70,15 @@ const (
 	// Optimal: the search ran to completion, so the incumbent is proven
 	// optimal up to tolerances.
 	Optimal Status = iota
-	// Feasible: an incumbent exists but the search stopped early
-	// (node or time budget).
+	// Feasible: an incumbent exists but the search stopped early (node
+	// or time budget), or a node's LP stopped at its pivot cap before
+	// the incumbent could prune that node.
 	Feasible
 	// Infeasible: no integer-feasible point exists.
 	Infeasible
 	// Unbounded: the LP relaxation is unbounded.
 	Unbounded
-	// Budget: stopped on a budget with no incumbent found.
+	// Budget: as Feasible, but with no incumbent found.
 	Budget
 )
 
@@ -141,7 +156,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	res := &Result{Objective: math.Inf(1), Bound: math.Inf(-1)}
 
 	if len(ints) == 0 {
-		sol, err := model.Solve()
+		sol, err := solveLP(model)
 		if err != nil {
 			return nil, err
 		}
@@ -199,6 +214,9 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		deadline = start.Add(opts.TimeLimit)
 	}
 	stoppedEarly := false
+	// unresolved is the smallest parent bound of the nodes whose LP hit
+	// the pivot cap: their subtrees are neither searched nor pruned.
+	unresolved := math.Inf(1)
 
 	for open.Len() > 0 {
 		if res.Nodes >= opts.maxNodes() || (!deadline.IsZero() && time.Now().After(deadline)) {
@@ -211,7 +229,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 		res.Nodes++
 		apply(nd)
-		sol, err := model.Solve()
+		sol, err := solveLP(model)
 		if err != nil {
 			restore()
 			return nil, err
@@ -222,6 +240,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			res.Status = Unbounded
 			res.Elapsed = time.Since(start)
 			return res, nil
+		}
+		if sol.Status == lp.IterLimit {
+			unresolved = math.Min(unresolved, nd.bound)
+			continue
 		}
 		if sol.Status != lp.Optimal {
 			continue // infeasible (or pathological) subtree: prune
@@ -254,12 +276,18 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	restore()
 
 	res.Elapsed = time.Since(start)
-	// The proven bound is the smallest bound among remaining open nodes.
+	// The proven bound is the smallest bound among remaining open nodes
+	// and unresolved ones; an unresolved node the final incumbent
+	// dominates is pruned as if its LP had finished.
 	res.Bound = res.Objective
 	for _, nd := range *open {
 		if nd.bound < res.Bound {
 			res.Bound = nd.bound
 		}
+	}
+	if unresolved < res.Objective-1e-9 {
+		stoppedEarly = true
+		res.Bound = math.Min(res.Bound, unresolved)
 	}
 	hasIncumbent := !math.IsInf(res.Objective, 1)
 	switch {
@@ -307,7 +335,7 @@ func dive(model *lp.Model, ints []int, relax []float64) ([]float64, float64, boo
 		}
 		model.SetBounds(v, r, r)
 	}
-	sol, err := model.Solve()
+	sol, err := solveLP(model)
 	for k, v := range ints {
 		model.SetBounds(v, saveLo[k], saveHi[k])
 	}

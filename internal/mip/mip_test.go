@@ -210,3 +210,73 @@ func TestNodeBudgetReportsFeasible(t *testing.T) {
 		t.Fatalf("negative gap %v", res.Gap())
 	}
 }
+
+// TestPivotCapLeavesNodesUnresolved pins that a node whose LP stops at the
+// pivot cap is neither searched nor pruned: the search cannot then claim a
+// proof, and its bound still covers the node's subtree.
+func TestPivotCapLeavesNodesUnresolved(t *testing.T) {
+	defer func(c int) { pivotCap = c }(pivotCap)
+	rng := rand.New(rand.NewSource(5))
+	const n = 10
+	m := lp.NewModel(n)
+	ints := make([]int, n)
+	var weight, volume []lp.Coef
+	for j := 0; j < n; j++ {
+		m.SetObj(j, -(1 + rng.Float64()*9))
+		binary(m, j)
+		weight = append(weight, lp.Coef{Var: j, Val: 1 + rng.Float64()*4})
+		volume = append(volume, lp.Coef{Var: j, Val: 1 + rng.Float64()*4})
+		ints[j] = j
+	}
+	m.AddRow(weight, lp.LE, 9)
+	m.AddRow(volume, lp.LE, 8)
+	p := &Problem{Model: m, Integers: ints}
+
+	pivotCap = 0
+	ref, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Status != Optimal {
+		t.Fatalf("uncapped search: %v", ref.Status)
+	}
+	opt := ref.Objective
+
+	childCapped := false
+	for pivotCap = 1; pivotCap <= 20; pivotCap++ {
+		res, err := Solve(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch res.Status {
+		case Optimal:
+			if math.Abs(res.Objective-opt) > 1e-6 {
+				t.Fatalf("cap %d: optimal %v, true optimum %v", pivotCap, res.Objective, opt)
+			}
+		case Feasible, Budget:
+			if res.Bound > opt+1e-9 {
+				t.Fatalf("cap %d: %v with bound %v above the optimum %v", pivotCap, res.Status, res.Bound, opt)
+			}
+			childCapped = childCapped || !math.IsInf(res.Bound, -1)
+		default:
+			t.Fatalf("cap %d: %v", pivotCap, res.Status)
+		}
+		if pivotCap == 1 && (res.Status != Budget || !math.IsInf(res.Bound, -1)) {
+			t.Fatalf("capped root: %v bound %v, want %v bound -Inf", res.Status, res.Bound, Budget)
+		}
+	}
+	if !childCapped {
+		t.Fatal("no cap stopped a node below the root: the test no longer covers it")
+	}
+
+	// A capped root with a warm incumbent keeps the incumbent unproven.
+	pivotCap = 1
+	warm := make([]float64, n)
+	res, err := Solve(p, Options{Incumbent: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Feasible || !math.IsInf(res.Bound, -1) || res.Objective != 0 {
+		t.Fatalf("capped root, warm start: %v objective %v bound %v, want %v 0 -Inf", res.Status, res.Objective, res.Bound, Feasible)
+	}
+}
