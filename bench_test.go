@@ -136,51 +136,6 @@ func BenchmarkHeuristicH4(b *testing.B)  { benchHeuristic(b, "H4", 100, 5, 20) }
 func BenchmarkHeuristicH4w(b *testing.B) { benchHeuristic(b, "H4w", 100, 5, 20) }
 func BenchmarkHeuristicH4f(b *testing.B) { benchHeuristic(b, "H4f", 100, 5, 20) }
 
-// BenchmarkAblationSplit compares the divisible-task extension against the
-// plain integral H4w (see heuristics.H4wSplit): the reported metric is the
-// split mapping's period; compare with BenchmarkHeuristicH4wRoomy's.
-func BenchmarkAblationSplit(b *testing.B) {
-	pr := gen.Default(40, 5, 14)
-	pr.FMin, pr.FMax = 0, 0.10
-	in, err := gen.Chain(pr, gen.RNG(2010))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var period float64
-	for i := 0; i < b.N; i++ {
-		sp, err := heuristics.H4wSplit(in, nil, heuristics.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ev, err := core.EvaluateSplit(in, sp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		period = ev.Period
-	}
-	b.ReportMetric(period, "ms_period")
-}
-
-// BenchmarkHeuristicH4wRoomy is the integral baseline for AblationSplit on
-// the identical instance.
-func BenchmarkHeuristicH4wRoomy(b *testing.B) {
-	pr := gen.Default(40, 5, 14)
-	pr.FMin, pr.FMax = 0, 0.10
-	in, err := gen.Chain(pr, gen.RNG(2010))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var period float64
-	for i := 0; i < b.N; i++ {
-		mp, err := heuristics.H4w(in, nil, heuristics.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		period = core.Period(in, mp)
-	}
-	b.ReportMetric(period, "ms_period")
-}
-
 // BenchmarkSimulator measures the discrete-event engine's event rate on a
 // mapped chain (substrate performance, not in the paper).
 func BenchmarkSimulator(b *testing.B) {

@@ -1,9 +1,8 @@
 // High-failure regime: the Figure 8 setting (f up to 10%) scaled to one
 // instance. Long chains under high failure rates inflate the product
 // counts x[i] exponentially toward the chain head, so mapping choices are
-// dramatized: this example contrasts all heuristics, shows the x blow-up,
-// and demonstrates the divisible-task extension (H4wSplit) recovering
-// throughput by splitting the overloaded stages across machines.
+// dramatized: this example contrasts all heuristics, shows the x blow-up
+// and checks the analytic throughput against the simulator.
 //
 // Run with: go run ./examples/highfailure
 package main
@@ -16,9 +15,6 @@ import (
 )
 
 func main() {
-	// m > 2p leaves slack machines so the divisible-task extension below
-	// has legal splits to exploit (a singleton type group cannot be
-	// split under the specialization rule).
 	pr := microfab.CampaignParams(40, 5, 14)
 	pr.FMin, pr.FMax = 0.0, 0.10 // the paper's high-failure campaign
 	in, err := microfab.GenerateChain(pr, 2010)
@@ -56,18 +52,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("raw products for 100 finished: %.0f\n", plan.Total)
-
-	// Future-work extension: divide task workloads across machines.
-	sp, err := microfab.SolveSplit(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	evs, err := microfab.EvaluateSplit(in, sp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ndivisible tasks (H4wSplit): period %.1f ms vs %.1f ms integral — %.1f%% gain\n",
-		evs.Period, ev.Period, 100*(1-evs.Period/ev.Period))
 
 	// Validate the analytic model against the stochastic simulator.
 	thr, err := microfab.MeasureThroughput(in, h4w, 2000, 0.2, 9)

@@ -104,91 +104,6 @@ func BenchmarkEvaluatorIncrementalInTree100(b *testing.B) {
 	benchmarkEvaluatorIncremental(b, "intree", 100)
 }
 
-// benchSplitSetup draws an instance with a random complete split mapping
-// plus a bank of precomputed replacement rows, so the benchmark loops
-// measure pricing only, not RNG work.
-func benchSplitSetup(b *testing.B, shape string, n, m int) (*core.Instance, *core.SplitMapping, [][]float64) {
-	b.Helper()
-	var in *core.Instance
-	var err error
-	if shape == "intree" {
-		in, err = gen.InTree(gen.Default(n, 5, m), 8, gen.RNG(int64(n*m)))
-	} else {
-		in, err = gen.Chain(gen.Default(n, 5, m), gen.RNG(int64(n*m)))
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := gen.RNG(int64(n + m))
-	split := randomSplit(in, rng)
-	rows := make([][]float64, 64)
-	scratch := core.NewSplitMapping(in.N(), in.M())
-	for k := range rows {
-		setRandomRow(scratch, app.TaskID(k%in.N()), in.M(), rng)
-		rows[k] = make([]float64, in.M())
-		for u := 0; u < in.M(); u++ {
-			rows[k][u] = scratch.Share(app.TaskID(k%in.N()), platform.MachineID(u))
-		}
-	}
-	return in, split, rows
-}
-
-// BenchmarkSplitFullReprice is the pre-SplitEvaluator cost of one
-// water-filling probe: mutate one task's share row, then re-walk the full
-// n×m share matrix through EvaluateSplit.
-func BenchmarkSplitFullReprice(b *testing.B) {
-	for _, size := range []struct {
-		shape string
-		n, m  int
-	}{{"chain", 50, 10}, {"chain", 100, 50}, {"intree", 100, 50}} {
-		b.Run(fmt.Sprintf("%s_n=%d_m=%d", size.shape, size.n, size.m), func(b *testing.B) {
-			in, split, rows := benchSplitSetup(b, size.shape, size.n, size.m)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				i := app.TaskID(k % in.N())
-				row := rows[k%len(rows)]
-				for u := 0; u < in.M(); u++ {
-					split.SetShare(i, platform.MachineID(u), row[u])
-				}
-				ev, err := core.EvaluateSplit(in, split)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = ev.Period
-			}
-		})
-	}
-}
-
-// BenchmarkSplitEvaluatorSetShares is the same probe through the
-// incremental engine: SetShares reprices only the task and its in-tree
-// prefix. Compare ns/op against BenchmarkSplitFullReprice (the acceptance
-// bar is >= 5x).
-func BenchmarkSplitEvaluatorSetShares(b *testing.B) {
-	for _, size := range []struct {
-		shape string
-		n, m  int
-	}{{"chain", 50, 10}, {"chain", 100, 50}, {"intree", 100, 50}} {
-		b.Run(fmt.Sprintf("%s_n=%d_m=%d", size.shape, size.n, size.m), func(b *testing.B) {
-			in, split, rows := benchSplitSetup(b, size.shape, size.n, size.m)
-			e, err := core.NewSplitEvaluator(in, split)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				i := app.TaskID(k % in.N())
-				if err := e.SetShares(i, rows[k%len(rows)]); err != nil {
-					b.Fatal(err)
-				}
-				_ = e.Period()
-			}
-		})
-	}
-}
-
 // BenchmarkEvaluatorPushPop measures the exact solver's per-node pattern in
 // isolation: a full root-first push of every task followed by a full pop,
 // i.e. 2n Evaluator operations per iteration.

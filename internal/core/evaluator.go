@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"microfab/internal/app"
@@ -39,8 +40,7 @@ import (
 //   - Best() = (max_u period(Mu), smallest u attaining it), the same
 //     tie-break as Evaluate.
 //
-// The per-machine sums and the lazy maximum live in a loadLedger, shared
-// with SplitEvaluator (the fractional-mapping counterpart).
+// The per-machine sums and the lazy maximum live in a loadLedger.
 //
 // An Evaluator is not safe for concurrent use; give each goroutine its own.
 type Evaluator struct {
@@ -482,4 +482,183 @@ func (e *Evaluator) unpriceTask(i app.TaskID) {
 	e.priced[i] = false
 	e.x[i] = 0
 	e.contrib[i] = 0
+}
+
+// loadLedger is the Evaluator's per-machine accounting structure. It
+// maintains one running load sum per machine and the maximum over
+// machines:
+//
+//   - every sum is Neumaier-compensated, so long charge/discharge
+//     sequences do not drift from a from-scratch summation;
+//   - a machine whose last contribution leaves is reset to exactly 0
+//     (tracked by a per-machine contribution count), so drained engines
+//     land on true zeros, not float residue;
+//   - the maximum lives in a lazily-maintained tournament tree: mutations
+//     only mark machines dirty, a max read flushes each dirty machine in
+//     O(log m). Loops that mutate without reading the maximum pay nothing
+//     for it.
+type loadLedger struct {
+	period []float64 // per-machine running sum
+	comp   []float64 // Neumaier compensation per machine
+	count  []int     // live contributions per machine (0 -> exact reset)
+
+	tree     []float64 // leaf u lives at treeBase+u
+	treeBase int
+	dirty    []platform.MachineID
+	stamp    []int
+	stampID  int
+}
+
+// newLoadLedger returns an all-zero ledger over m machines.
+func newLoadLedger(m int) loadLedger {
+	base := 1
+	for base < m {
+		base *= 2
+	}
+	return loadLedger{
+		period:   make([]float64, m),
+		comp:     make([]float64, m),
+		count:    make([]int, m),
+		tree:     make([]float64, 2*base),
+		treeBase: base,
+		stamp:    make([]int, m),
+		stampID:  1, // stamp[u] == stampID means dirty; zeroed stamps must not match
+	}
+}
+
+// clone returns an independent deep copy of the ledger, dirty state
+// included: a clone made mid-mutation flushes exactly like the original
+// would have.
+func (l *loadLedger) clone() loadLedger {
+	return loadLedger{
+		period:   append([]float64(nil), l.period...),
+		comp:     append([]float64(nil), l.comp...),
+		count:    append([]int(nil), l.count...),
+		tree:     append([]float64(nil), l.tree...),
+		treeBase: l.treeBase,
+		dirty:    append([]platform.MachineID(nil), l.dirty...),
+		stamp:    append([]int(nil), l.stamp...),
+		stampID:  l.stampID,
+	}
+}
+
+// reset returns the ledger to the all-zero state.
+func (l *loadLedger) reset() {
+	for u := range l.period {
+		l.period[u] = 0
+		l.comp[u] = 0
+		l.count[u] = 0
+	}
+	for k := range l.tree {
+		l.tree[k] = 0
+	}
+	l.dirty = l.dirty[:0]
+	l.stampID++
+}
+
+// value returns the current compensated sum of machine u.
+func (l *loadLedger) value(u platform.MachineID) float64 {
+	return l.period[u] + l.comp[u]
+}
+
+// values returns a copy of all compensated sums.
+func (l *loadLedger) values() []float64 {
+	out := make([]float64, len(l.period))
+	for u := range out {
+		out[u] = l.period[u] + l.comp[u]
+	}
+	return out
+}
+
+// charge adds one contribution v to machine u.
+func (l *loadLedger) charge(u platform.MachineID, v float64) {
+	l.add(u, v)
+	l.count[u]++
+	l.touch(u)
+}
+
+// discharge removes one contribution v from machine u. When it was the
+// machine's last contribution the sum is reset to exactly 0: an emptied
+// machine owes nothing to float residue.
+func (l *loadLedger) discharge(u platform.MachineID, v float64) {
+	l.count[u]--
+	if l.count[u] == 0 {
+		l.period[u] = 0
+		l.comp[u] = 0
+	} else {
+		l.add(u, -v)
+	}
+	l.touch(u)
+}
+
+// add adds v to machine u's running sum with Neumaier compensation,
+// bounding the drift of long add/remove sequences to one rounding of the
+// current magnitude instead of one per operation.
+func (l *loadLedger) add(u platform.MachineID, v float64) {
+	s := l.period[u]
+	t := s + v
+	if math.Abs(s) >= math.Abs(v) {
+		l.comp[u] += (s - t) + v
+	} else {
+		l.comp[u] += (v - t) + s
+	}
+	l.period[u] = t
+}
+
+// touch marks machine u's tournament-tree leaf stale; the stamp array
+// dedupes so a machine appears in the dirty list once between flushes.
+func (l *loadLedger) touch(u platform.MachineID) {
+	if l.stamp[u] == l.stampID {
+		return
+	}
+	l.stamp[u] = l.stampID
+	l.dirty = append(l.dirty, u)
+}
+
+// flush replays the dirty machines into the tournament tree, O(log m)
+// each. Max reads amortize it; pure mutation sequences never pay.
+func (l *loadLedger) flush() {
+	if len(l.dirty) == 0 {
+		return
+	}
+	for _, u := range l.dirty {
+		k := l.treeBase + int(u)
+		l.tree[k] = l.period[u] + l.comp[u]
+		for k >>= 1; k >= 1; k >>= 1 {
+			a, b := l.tree[2*k], l.tree[2*k+1]
+			if a >= b {
+				l.tree[k] = a
+			} else {
+				l.tree[k] = b
+			}
+		}
+	}
+	l.dirty = l.dirty[:0]
+	l.stampID++
+}
+
+// max returns the current maximum machine sum.
+func (l *loadLedger) max() float64 {
+	l.flush()
+	return l.tree[1]
+}
+
+// best returns the maximum machine sum and the smallest machine attaining
+// it (platform.NoMachine while every sum is zero), matching Evaluate's
+// tie-break.
+func (l *loadLedger) best() (float64, platform.MachineID) {
+	l.flush()
+	best := l.tree[1]
+	if best <= 0 {
+		return 0, platform.NoMachine
+	}
+	k := 1
+	for k < l.treeBase {
+		if l.tree[2*k] >= l.tree[2*k+1] {
+			k = 2 * k
+		} else {
+			k = 2*k + 1
+		}
+	}
+	return best, platform.MachineID(k - l.treeBase)
 }

@@ -299,71 +299,6 @@ func FuzzCheckRule(f *testing.F) {
 	})
 }
 
-// FuzzSplitDelta decodes an instance plus a share-mutation script and
-// cross-checks the incremental SplitEvaluator against from-scratch
-// EvaluateSplit after every SetShares — the fuzz twin of
-// TestSplitEvaluatorDifferential.
-func FuzzSplitDelta(f *testing.F) {
-	f.Add([]byte("incremental-split-evaluator"))
-	f.Add([]byte{6, 4, 2, 0, 90, 110, 130, 150, 3, 1, 0, 2, 200, 100, 50, 25, 12, 6, 3, 1})
-	f.Add([]byte("\x0a\x05\x03\x01water-filling\x02\x04\x08\x10\x20\x40\x80"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		p := &byteProgram{data: data}
-		in, err := decodeInstance(p)
-		if err != nil {
-			t.Fatalf("decoder built an invalid instance: %v", err)
-		}
-		n, m := in.N(), in.M()
-		// decodeRow reads a share row off the tape: 1..3 machines with
-		// weights in 1..256, normalized. Weights are exact powers of the
-		// byte value so rows exercise wide magnitude ranges.
-		decodeRow := func() []float64 {
-			row := make([]float64, m)
-			k := 1 + p.intn(3)
-			if k > m {
-				k = m
-			}
-			total := 0.0
-			for j := 0; j < k; j++ {
-				u := p.intn(m)
-				w := 1 + float64(p.next())
-				row[u] += w
-				total += w
-			}
-			for u := range row {
-				row[u] /= total
-			}
-			return row
-		}
-		split := core.NewSplitMapping(n, m)
-		for i := 0; i < n; i++ {
-			row := decodeRow()
-			for u, v := range row {
-				split.SetShare(app.TaskID(i), platform.MachineID(u), v)
-			}
-		}
-		se, err := core.NewSplitEvaluator(in, split)
-		if err != nil {
-			// The decoded shares can legitimately be unproductive (all
-			// weight on always-failing machines); the constructor must say
-			// so, not crash.
-			return
-		}
-		checkSplitAgainstReference(t, in, se, "initial")
-		steps := 4 + p.intn(28)
-		for s := 0; s < steps; s++ {
-			i := app.TaskID(p.intn(n))
-			if err := se.SetShares(i, decodeRow()); err != nil {
-				continue // unproductive row rejected: engine must be unchanged
-			}
-			checkSplitAgainstReference(t, in, se, fmt.Sprintf("step %d (T%d)", s, int(i)+1))
-		}
-	})
-}
-
 // FuzzTrialAll decodes an instance plus a mutation script and, after every
 // step, cross-checks the batch kernels against their scalar counterparts:
 // the Evaluator.TrialAll row must be bit-equal to m Trial calls at every

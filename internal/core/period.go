@@ -28,26 +28,43 @@ var ErrIncompleteMapping = errors.New("mapping is incomplete")
 // mapping of the wrong size or referencing an unknown machine yields a
 // plain (genuine) error.
 func ProductCounts(in *Instance, m *Mapping) ([]float64, error) {
+	x, _, err := price(in, m)
+	return x, err
+}
+
+// price computes the product counts and the per-machine loads of a
+// complete mapping in one root-first walk in App.ReverseTopological()
+// order, adding x[i]·w[i][a(i)] to its machine the moment x[i] is known.
+// That is the order and the expression of a Pricer assigning the same
+// mapping root-first, so every load, and hence the period, has the
+// Pricer's bits: the period the exact search proves is the period
+// Evaluate reports. The float64 conversion rounds the product before the
+// add, so no target fuses the two into one multiply-add.
+func price(in *Instance, m *Mapping) (x, loads []float64, err error) {
 	n := in.N()
 	if m.Len() != n {
-		return nil, fmt.Errorf("core: mapping covers %d tasks, instance has %d", m.Len(), n)
+		return nil, nil, fmt.Errorf("core: mapping covers %d tasks, instance has %d", m.Len(), n)
 	}
-	x := make([]float64, n)
-	for _, i := range in.App.ReverseTopological() {
+	x = make([]float64, n)
+	loads = make([]float64, in.M())
+	topo := in.App.Topological()
+	for k := len(topo) - 1; k >= 0; k-- { // root first
+		i := topo[k]
 		u := m.Machine(i)
 		if u == platform.NoMachine {
-			return nil, fmt.Errorf("core: task T%d is unassigned: %w", int(i)+1, ErrIncompleteMapping)
+			return nil, nil, fmt.Errorf("core: task T%d is unassigned: %w", int(i)+1, ErrIncompleteMapping)
 		}
 		if int(u) < 0 || int(u) >= in.M() {
-			return nil, fmt.Errorf("core: task T%d mapped to machine %d, platform has %d", int(i)+1, int(u), in.M())
+			return nil, nil, fmt.Errorf("core: task T%d mapped to machine %d, platform has %d", int(i)+1, int(u), in.M())
 		}
 		demand := 1.0 // virtual successor of the root wants one product
 		if s := in.App.Successor(i); s != app.NoTask {
 			demand = x[s]
 		}
 		x[i] = in.Failures.Inflation(i, u) * demand
+		loads[u] += float64(x[i] * in.Platform.Time(i, u))
 	}
-	return x, nil
+	return x, loads, nil
 }
 
 // PartialProductCounts computes x[i] for the assigned suffix of a mapping
@@ -77,19 +94,11 @@ func PartialProductCounts(in *Instance, m *Mapping) []float64 {
 
 // MachinePeriods returns period(Mu) for every machine: the time machine u
 // spends to push one finished product out of the system,
-// period(Mu) = sum over tasks i on u of x[i] * w[i][u]   (paper eq. (1)).
+// period(Mu) = sum over tasks i on u of x[i] * w[i][u]   (paper eq. (1)),
+// summed root-first (see price).
 func MachinePeriods(in *Instance, m *Mapping) ([]float64, error) {
-	x, err := ProductCounts(in, m)
-	if err != nil {
-		return nil, err
-	}
-	periods := make([]float64, in.M())
-	for i := 0; i < in.N(); i++ {
-		id := app.TaskID(i)
-		u := m.Machine(id)
-		periods[u] += float64(x[i] * in.Platform.Time(id, u))
-	}
-	return periods, nil
+	_, periods, err := price(in, m)
+	return periods, err
 }
 
 // Evaluation is the full objective breakdown of a mapping.
@@ -109,15 +118,9 @@ type Evaluation struct {
 // Evaluate computes the period of a complete mapping. It does not check the
 // mapping rule; use Mapping.CheckRule for that.
 func Evaluate(in *Instance, m *Mapping) (*Evaluation, error) {
-	x, err := ProductCounts(in, m)
+	x, periods, err := price(in, m)
 	if err != nil {
 		return nil, err
-	}
-	periods := make([]float64, in.M())
-	for i := 0; i < in.N(); i++ {
-		id := app.TaskID(i)
-		u := m.Machine(id)
-		periods[u] += float64(x[i] * in.Platform.Time(id, u))
 	}
 	ev := &Evaluation{
 		Period:         0,

@@ -24,7 +24,10 @@ import (
 //     price identically. This is the property that makes the parallel root
 //     split of internal/exact byte-identical for any worker count, and it is
 //     the one thing the ledger-backed Evaluator cannot offer (a compensated
-//     sum's last ulp depends on its charge/discharge history);
+//     sum's last ulp depends on its charge/discharge history). Evaluate
+//     sums in App.ReverseTopological() order, the exact search's, so a
+//     Pricer that assigned a complete mapping in that order holds exactly
+//     Evaluate's loads and period;
 //   - Assign and Unassign are branch-free O(1): one multiply-add, two saves,
 //     no ledger, no dirty list, no tree. The maximum is read in O(1) at any
 //     node (Max), against the Evaluator's O(log m)-amortized flush.

@@ -290,3 +290,100 @@ func TestPricerBestAndReset(t *testing.T) {
 		t.Fatal("Trial knows a demand after Reset")
 	}
 }
+
+// randomRuleMapping draws a uniformly random complete mapping that
+// satisfies the rule: any machine per task (General), a random machine
+// typing with every type on at least one machine (Specialized), or
+// distinct machines (OneToOne, n <= m).
+func randomRuleMapping(in *core.Instance, rule core.Rule, rng *rand.Rand) *core.Mapping {
+	n, m := in.N(), in.M()
+	mp := core.NewMapping(n)
+	switch rule {
+	case core.OneToOne:
+		perm := rng.Perm(m)
+		for i := 0; i < n; i++ {
+			mp.Assign(app.TaskID(i), platform.MachineID(perm[i]))
+		}
+	case core.Specialized:
+		typeOf := make([]app.TypeID, m)
+		for k, u := range rng.Perm(m) {
+			if k < in.P() {
+				typeOf[u] = app.TypeID(k)
+			} else {
+				typeOf[u] = app.TypeID(rng.Intn(in.P()))
+			}
+		}
+		for i := 0; i < n; i++ {
+			var on []platform.MachineID
+			for u, ty := range typeOf {
+				if ty == in.App.Type(app.TaskID(i)) {
+					on = append(on, platform.MachineID(u))
+				}
+			}
+			mp.Assign(app.TaskID(i), on[rng.Intn(len(on))])
+		}
+	default:
+		for i := 0; i < n; i++ {
+			mp.Assign(app.TaskID(i), platform.MachineID(rng.Intn(m)))
+		}
+	}
+	return mp
+}
+
+// TestPeriodMatchesPricerBits pins the one period arithmetic: on random
+// complete mappings of chains and in-trees under every rule, Evaluate's
+// per-machine periods, its period and its critical machine have exactly
+// the bits of a Pricer that assigned the same mapping root-first. The
+// exact search proves periods in Pricer sums and reports them through
+// core.Period, so the two must not differ even in the last ulp.
+func TestPeriodMatchesPricerBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(2026))
+	for trial := 0; trial < 400; trial++ {
+		rule := []core.Rule{core.GeneralRule, core.Specialized, core.OneToOne}[trial%3]
+		n := 6 + rng.Intn(30)
+		m := 3 + rng.Intn(10)
+		if rule == core.OneToOne {
+			m = n + rng.Intn(4)
+		}
+		pr := gen.Default(n, 1+rng.Intn(min(m, 5)), m)
+		if trial%4 == 3 {
+			pr.FMin, pr.FMax = 0, 0.10
+		}
+		var in *core.Instance
+		var err error
+		if trial%2 == 0 {
+			in, err = gen.Chain(pr, gen.RNG(int64(9000+trial)))
+		} else {
+			in, err = gen.InTree(pr, 2+rng.Intn(3), gen.RNG(int64(9000+trial)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := randomRuleMapping(in, rule, rng)
+		if err := mp.CheckRule(in.App, rule); err != nil {
+			t.Fatalf("trial %d: drawn mapping breaks %v: %v", trial, rule, err)
+		}
+		p := core.NewPricer(in)
+		for _, i := range in.App.ReverseTopological() {
+			if err := p.Assign(i, mp.Machine(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ev, err := core.Evaluate(in, mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, got := range ev.MachinePeriods {
+			if want := p.Load(platform.MachineID(u)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d (%v, n=%d, m=%d): period(M%d) = %v, Pricer load %v", trial, rule, n, m, u+1, got, want)
+			}
+		}
+		got := core.Period(in, mp)
+		if math.Float64bits(got) != math.Float64bits(p.Max()) {
+			t.Fatalf("trial %d (%v, n=%d, m=%d): Period = %v, Pricer Max %v", trial, rule, n, m, got, p.Max())
+		}
+		if want, u := p.Best(); math.Float64bits(ev.Period) != math.Float64bits(want) || ev.Critical != u {
+			t.Fatalf("trial %d: Evaluate (%v, M%d), Pricer Best (%v, M%d)", trial, ev.Period, int(ev.Critical)+1, want, int(u)+1)
+		}
+	}
+}

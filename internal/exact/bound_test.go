@@ -44,11 +44,11 @@ func TestLowerBoundAdmissible(t *testing.T) {
 			if !done || math.IsInf(opt, 1) {
 				continue
 			}
-			if lb > opt*(1+1e-9) {
+			if lb > opt {
 				t.Fatalf("trial %d rule %v depth %d: bound %v exceeds completion optimum %v (prefix %v)",
 					trial, rule, len(prefix), lb, opt, prefix)
 			}
-			if prunesAbove(s, len(prefix), opt*(1+1e-9)) {
+			if prunesAbove(s, len(prefix), opt) {
 				t.Fatalf("trial %d rule %v depth %d: node pruned against its completion optimum %v (prefix %v)",
 					trial, rule, len(prefix), opt, prefix)
 			}

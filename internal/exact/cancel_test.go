@@ -144,10 +144,9 @@ func TestOnImproveStreams(t *testing.T) {
 				t.Fatalf("workers=%d: incumbent stream not strictly improving: %v", workers, periods)
 			}
 		}
-		// Streamed periods are the search's Pricer values; Result.Period
-		// is normalised through core.Evaluate, which may differ in the
-		// last ulp on some mappings.
-		if n := len(periods); n > 0 && math.Abs(periods[n-1]-res.Period) > 1e-12*res.Period {
+		// Streamed periods are the search's Pricer values, which are
+		// core.Period's: the last one is Result.Period to the bit.
+		if n := len(periods); n > 0 && math.Float64bits(periods[n-1]) != math.Float64bits(res.Period) {
 			t.Fatalf("workers=%d: last streamed incumbent %v != result %v", workers, periods[n-1], res.Period)
 		}
 	}

@@ -111,9 +111,8 @@ type Options struct {
 	// clients through it. It is called under an internal lock (keep it
 	// cheap and non-blocking) and the mapping must not be mutated. The
 	// callback does not fire for the initial warm start; read that off the
-	// final Result (or pre-compute it) instead. The streamed period is the
-	// search's own price of the mapping, which can differ from the
-	// Evaluate-normalised Result.Period in the last ulp. Enabling the
+	// final Result (or pre-compute it) instead. The streamed period is
+	// core.Period of the streamed mapping, bit for bit. Enabling the
 	// callback never changes the nodes explored or the result.
 	OnImprove func(period float64, m *core.Mapping)
 	// BoundInjector, when non-nil, is called once at search start with an
@@ -497,17 +496,12 @@ func (sv *solver) finish(best *core.Mapping, period float64) (*Result, error) {
 	if best == nil {
 		return nil, errNoMapping(sv.bud.stop.Load())
 	}
-	// Normalise the reported period through the canonical evaluation.
-	// The search prices through core.Pricer's plain sums (bit-exact
-	// backtracking); core.Evaluate's compensated ledger can differ from
-	// them in the last ulp on some mappings. Result.Period must be THE
-	// period of Result.Mapping — the number core.Evaluate returns — or a
-	// budget-stopped run could report a period its own mapping does not
-	// reprice to. One O(n) evaluation at the end; the search-internal
-	// prices (pruning, OnImprove) stay pure Pricer values.
+	// period is the Pricer's maximum load of best (or the warm start's
+	// core.Period), and core.Evaluate sums in the Pricer's root-first
+	// order, so it already is core.Period(best), bit for bit.
 	return &Result{
 		Mapping: best,
-		Period:  core.Period(sv.in, best),
+		Period:  period,
 		Proven:  !sv.bud.stop.Load(),
 		Nodes:   sv.bud.reserved.Load(),
 	}, nil

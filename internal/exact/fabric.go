@@ -64,8 +64,7 @@ func Frontier(in *core.Instance, opts Options, target int) (*FrontierInfo, error
 // improvement over the shared warm start, if any.
 type SubtreeOutcome struct {
 	// Found marks an improvement; Period and Assign carry it. The period
-	// is the search's own Pricer value (Merge re-normalises the winning
-	// mapping through core.Period, like a sequential solve does).
+	// is the search's Pricer value, which equals core.Period of Assign.
 	Found  bool    `json:"found"`
 	Period float64 `json:"period,omitempty"`
 	Assign []int   `json:"assign,omitempty"`
@@ -108,15 +107,16 @@ func SolveSubtree(in *core.Instance, opts Options, prefix []platform.MachineID) 
 // Merge reduces a root split to its answer. outcomes[j] is the outcome of
 // front.Prefixes[j], nil when that subtree was never explored. Merge keeps
 // the warm start, then the first strict improvement in frontier order —
-// what a sequential search that visited the subtrees in that order keeps —
-// and normalises the winner's period through core.Period, like a
-// sequential Solve. The result is proven when the enumeration and every
-// subtree ran to exhaustion; Nodes sums the frontier's and the subtrees'
-// counts. When nothing was found the error wraps ErrBudgetExhausted for an
-// unproven split and ErrInfeasible for a proven one. Found outcomes are
-// trusted: a caller that receives them from another process checks them
-// against its own instance first.
-func Merge(in *core.Instance, front *FrontierInfo, outcomes []*SubtreeOutcome) (*Result, error) {
+// what a sequential search that visited the subtrees in that order keeps.
+// A found outcome's period is the Pricer's price of its mapping, which is
+// core.Period's, so the winner's period is reported as is. The result is
+// proven when the enumeration and every subtree ran to exhaustion; Nodes
+// sums the frontier's and the subtrees' counts. When nothing was found the
+// error wraps ErrBudgetExhausted for an unproven split and ErrInfeasible
+// for a proven one. Found outcomes are trusted: a caller that receives
+// them from another process checks them against its own instance first,
+// period included.
+func Merge(front *FrontierInfo, outcomes []*SubtreeOutcome) (*Result, error) {
 	best, bestPeriod := front.WarmAssign, math.Inf(1)
 	if best != nil {
 		bestPeriod = front.WarmPeriod
@@ -141,7 +141,7 @@ func Merge(in *core.Instance, front *FrontierInfo, outcomes []*SubtreeOutcome) (
 	for i, u := range best {
 		mp.Assign(app.TaskID(i), platform.MachineID(u))
 	}
-	return &Result{Mapping: mp, Period: core.Period(in, mp), Proven: proven, Nodes: nodes}, nil
+	return &Result{Mapping: mp, Period: bestPeriod, Proven: proven, Nodes: nodes}, nil
 }
 
 func finiteOrZero(p float64) float64 {

@@ -2,6 +2,8 @@ package exact
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"microfab/internal/app"
@@ -54,7 +56,7 @@ func TestSubtreeMergeMatchesSolve(t *testing.T) {
 				}
 				outs[j] = out
 			}
-			res, err := Merge(in, front, outs)
+			res, err := Merge(front, outs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,16 +75,83 @@ func TestSubtreeMergeMatchesSolve(t *testing.T) {
 	}
 }
 
+// TestResultPeriodIsCorePeriod: the search proves in Pricer sums and
+// core.Evaluate sums in the same root-first order, so every period the
+// solver reports — the sequential and parallel Result, a budget-stopped
+// incumbent, each OnImprove incumbent and each subtree outcome Merge
+// reduces — is core.Period of its mapping, bit for bit. finish and Merge
+// rely on it to report periods without re-pricing.
+func TestResultPeriodIsCorePeriod(t *testing.T) {
+	check := func(what string, in *core.Instance, p float64, mp *core.Mapping) {
+		t.Helper()
+		if want := core.Period(in, mp); math.Float64bits(p) != math.Float64bits(want) {
+			t.Fatalf("%s: period %v, core.Period of its mapping %v", what, p, want)
+		}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		pr := gen.Default(10, 3, 4)
+		rule := []core.Rule{core.Specialized, core.GeneralRule, core.OneToOne}[seed%3]
+		if rule == core.OneToOne {
+			pr.M = 11
+		}
+		if seed%4 == 3 {
+			pr.FMin, pr.FMax = 0, 0.10
+		}
+		var in *core.Instance
+		var err error
+		if seed%2 == 0 {
+			in, err = gen.Chain(pr, gen.RNG(700+seed))
+		} else {
+			in, err = gen.InTree(pr, 2, gen.RNG(700+seed))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{
+			{Rule: rule},
+			{Rule: rule, WarmStart: true, Workers: 2},
+			{Rule: rule, MaxNodes: 300},
+			{Rule: rule, MaxNodes: 300, Workers: 2},
+		} {
+			what := fmt.Sprintf("seed %d %v workers %d cap %d", seed, rule, opts.Workers, opts.MaxNodes)
+			opts.OnImprove = func(p float64, mp *core.Mapping) {
+				check(what+" OnImprove", in, p, mp)
+			}
+			res, err := Solve(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(what, in, res.Period, res.Mapping)
+		}
+		opts := Options{Rule: rule, WarmStart: true}
+		front, err := Frontier(in, opts, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, prefix := range front.Prefixes {
+			out, err := SolveSubtree(in, opts, prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Found {
+				mp := core.NewMapping(in.N())
+				for i, u := range out.Assign {
+					mp.Assign(app.TaskID(i), platform.MachineID(u))
+				}
+				check(fmt.Sprintf("seed %d subtree %d", seed, j), in, out.Period, mp)
+			}
+		}
+	}
+}
+
 // TestMerge pins the reduction both transports of the root split share:
 // the warm start first, then the first strict improvement in frontier
 // order; proven only when the enumeration and every subtree were
 // exhausted; typed errors when nothing was found. Reported periods are
-// the merge's only sort key; the result is repriced through core.Period.
+// the merge's only sort key, and the winner's is reported unchanged (the
+// synthetic periods here are not their mappings' prices; a real outcome's
+// is, to the bit — TestResultPeriodIsCorePeriod).
 func TestMerge(t *testing.T) {
-	in, err := gen.Chain(gen.Default(4, 2, 3), gen.RNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	warm, a, b := []int{0, 0, 0, 0}, []int{1, 1, 1, 1}, []int{2, 2, 2, 2}
 	two := [][]platform.MachineID{{0}, {1}}
 	found := func(p float64, assign []int) *SubtreeOutcome {
@@ -93,35 +162,36 @@ func TestMerge(t *testing.T) {
 		front  FrontierInfo
 		outs   []*SubtreeOutcome
 		want   []int // nil: an error is expected
+		period float64
 		proven bool
 		nodes  int64
 		err    error
 	}{
 		{"equal periods: earlier in frontier order wins",
 			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10, Nodes: 3},
-			[]*SubtreeOutcome{found(5, a), found(5, b)}, a, true, 13, nil},
+			[]*SubtreeOutcome{found(5, a), found(5, b)}, a, 5, true, 13, nil},
 		{"a later strict improvement wins",
 			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10, Nodes: 3},
-			[]*SubtreeOutcome{found(6, a), found(5, b)}, b, true, 13, nil},
+			[]*SubtreeOutcome{found(6, a), found(5, b)}, b, 5, true, 13, nil},
 		{"a report equal to the warm period keeps the warm start",
 			FrontierInfo{Prefixes: two[:1], WarmAssign: warm, WarmPeriod: 10},
-			[]*SubtreeOutcome{found(10, a)}, warm, true, 5, nil},
+			[]*SubtreeOutcome{found(10, a)}, warm, 10, true, 5, nil},
 		{"a stopped subtree voids the proof",
 			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10},
-			[]*SubtreeOutcome{{Stopped: true, Nodes: 5}, found(5, b)}, b, false, 10, nil},
+			[]*SubtreeOutcome{{Stopped: true, Nodes: 5}, found(5, b)}, b, 5, false, 10, nil},
 		{"an unexplored subtree voids the proof",
 			FrontierInfo{Prefixes: two, WarmAssign: warm, WarmPeriod: 10},
-			[]*SubtreeOutcome{found(5, a), nil}, a, false, 5, nil},
+			[]*SubtreeOutcome{found(5, a), nil}, a, 5, false, 5, nil},
 		{"zero outcomes return the warm start",
 			FrontierInfo{WarmAssign: warm, WarmPeriod: 10, Nodes: 7},
-			nil, warm, true, 7, nil},
+			nil, warm, 10, true, 7, nil},
 		{"zero outcomes and no warm start are infeasible",
-			FrontierInfo{Nodes: 7}, nil, nil, false, 0, ErrInfeasible},
+			FrontierInfo{Nodes: 7}, nil, nil, 0, false, 0, ErrInfeasible},
 		{"a stopped split that found nothing is starved",
 			FrontierInfo{Prefixes: two},
-			[]*SubtreeOutcome{{Nodes: 5}, {Stopped: true}}, nil, false, 0, ErrBudgetExhausted},
+			[]*SubtreeOutcome{{Nodes: 5}, {Stopped: true}}, nil, 0, false, 0, ErrBudgetExhausted},
 	} {
-		res, err := Merge(in, &c.front, c.outs)
+		res, err := Merge(&c.front, c.outs)
 		if c.want == nil {
 			if !errors.Is(err, c.err) {
 				t.Fatalf("%s: err %v, want %v", c.name, err, c.err)
@@ -134,15 +204,13 @@ func TestMerge(t *testing.T) {
 		if res.Proven != c.proven || res.Nodes != c.nodes {
 			t.Fatalf("%s: proven %v nodes %d, want %v and %d", c.name, res.Proven, res.Nodes, c.proven, c.nodes)
 		}
-		mp := core.NewMapping(in.N())
 		for i, u := range c.want {
 			if got := res.Mapping.Machine(app.TaskID(i)); got != platform.MachineID(u) {
 				t.Fatalf("%s: task %d on machine %d, want %d", c.name, i, got, u)
 			}
-			mp.Assign(app.TaskID(i), platform.MachineID(u))
 		}
-		if p := core.Period(in, mp); res.Period != p {
-			t.Fatalf("%s: period %v, want core.Period %v", c.name, res.Period, p)
+		if res.Period != c.period {
+			t.Fatalf("%s: period %v, want the winner's %v", c.name, res.Period, c.period)
 		}
 	}
 }

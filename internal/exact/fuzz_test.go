@@ -145,11 +145,11 @@ func FuzzExactBound(f *testing.F) {
 		if !done || math.IsInf(opt, 1) {
 			return // oracle budget hit, or no completion to be admissible to
 		}
-		if lb > opt*(1+1e-9) {
+		if lb > opt {
 			t.Fatalf("inadmissible bound: %v exceeds completion optimum %v (rule %v, prefix %v, n=%d m=%d)",
 				lb, opt, rule, prefix, in.N(), in.M())
 		}
-		if prunesAbove(s, len(prefix), opt*(1+1e-9)) {
+		if prunesAbove(s, len(prefix), opt) {
 			t.Fatalf("inadmissible decision: node pruned against its completion optimum %v (rule %v, prefix %v, n=%d m=%d)",
 				opt, rule, prefix, in.N(), in.M())
 		}

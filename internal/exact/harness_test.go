@@ -177,10 +177,9 @@ func boundAt(t testing.TB, in *core.Instance, rule core.Rule, prefix []platform.
 // prunesAbove reports whether s prunes the node at depth k against an
 // incumbent of period limit: locally at the next float above it, or as a
 // shared incumbent of exactly limit — either means the bound exceeds limit.
-// An admissible decision does neither at the node's completion optimum,
-// up to the 1e-9 relative slack the admissibility tests grant:
-// completionOptimum prices leaves with core.Period's compensated sums,
-// which can land an ulp below the search's own load sums.
+// An admissible decision does neither at the node's completion optimum:
+// completionOptimum prices leaves with core.Period, which has the
+// search's own load sums to the bit.
 func prunesAbove(s *searcher, k int, limit float64) bool {
 	inf := math.Inf(1)
 	return s.prunes(k, math.Nextafter(limit, inf), inf) || s.prunes(k, inf, limit)

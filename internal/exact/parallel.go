@@ -59,7 +59,7 @@ func (sv *solver) solveParallel(workers int) (*Result, error) {
 		}()
 	}
 	wg.Wait()
-	return Merge(sv.in, front, outs)
+	return Merge(front, outs)
 }
 
 // frontier builds the shared incumbent and the enumerating searcher, then

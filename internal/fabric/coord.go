@@ -442,7 +442,7 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 	if failed != "" {
 		return nil, errors.New(failed)
 	}
-	res, err := exact.Merge(in, front, reports)
+	res, err := exact.Merge(front, reports)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +461,9 @@ func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*Exac
 
 // checkSubtree confirms a found report against the coordinator's own
 // instance before it is merged, so a stale or forged report can neither
-// panic the merge nor come back as a proof.
+// panic the merge nor come back as a proof. The reported period must be
+// the assignment's core.Period to the bit: the search's prices are, and
+// Merge reports the winner's period as is.
 func checkSubtree(in *core.Instance, rule core.Rule, o *exact.SubtreeOutcome) error {
 	if !o.Found {
 		return nil
@@ -479,7 +481,7 @@ func checkSubtree(in *core.Instance, rule core.Rule, o *exact.SubtreeOutcome) er
 	if err := mp.CheckRule(in.App, rule); err != nil {
 		return err
 	}
-	if p := core.Period(in, mp); !(math.Abs(o.Period-p) <= 1e-9*p) {
+	if p := core.Period(in, mp); o.Period != p {
 		return fmt.Errorf("reported period %v, the assignment prices at %v", o.Period, p)
 	}
 	return nil

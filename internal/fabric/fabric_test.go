@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -491,6 +492,7 @@ func TestInvalidSubtreeReportFailsJob(t *testing.T) {
 		{"machine out of range", badMachine, 1},
 		{"rule broken", make([]int, n), 1},
 		{"period forged", validAssign, valid.Period / 2},
+		{"period one ulp low", validAssign, math.Nextafter(valid.Period, 0)},
 	} {
 		_, srv := testCoord(t, CoordConfig{})
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

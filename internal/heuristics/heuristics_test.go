@@ -230,42 +230,6 @@ func TestH2rValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestH4wSplitValidAndNeverWorse(t *testing.T) {
-	// The divisible-task extension refines the H4w mapping and keeps a
-	// rebalance only when the period improves, so it can never lose to
-	// H4w. It usually wins; count the wins to make sure the machinery
-	// actually fires.
-	wins := 0
-	for seed := int64(0); seed < 10; seed++ {
-		in := randomChain(t, 500+seed, 15, 3, 6)
-		sp, err := H4wSplit(in, nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sp.Validate(in.App, core.Specialized); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		evs, err := core.EvaluateSplit(in, sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mw, err := H4w(in, nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := core.Period(in, mw)
-		if evs.Period > base+1e-6 {
-			t.Fatalf("seed %d: split period %v worse than integral %v", seed, evs.Period, base)
-		}
-		if evs.Period < base-1e-6 {
-			wins++
-		}
-	}
-	if wins == 0 {
-		t.Fatal("splitting never improved any instance; refinement loop seems dead")
-	}
-}
-
 func TestSingleMachineSingleType(t *testing.T) {
 	// Degenerate: everything must land on the only machine.
 	a := app.MustChain([]app.TypeID{0, 0, 0})

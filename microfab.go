@@ -66,8 +66,6 @@ type (
 	Instance = core.Instance
 	// Mapping is the allocation of tasks to machines.
 	Mapping = core.Mapping
-	// SplitMapping allows one task's workload on several machines.
-	SplitMapping = core.SplitMapping
 	// Evaluation is the period/throughput breakdown of a mapping.
 	Evaluation = core.Evaluation
 	// Evaluator is the stateful incremental evaluation engine
@@ -325,12 +323,6 @@ func Polish(in *Instance, m *Mapping, strategy string, rule Rule, seed int64, bu
 	return res.Mapping, nil
 }
 
-// SolveSplit runs the divisible-task extension (H4w refined by workload
-// splitting) and returns the fractional mapping.
-func SolveSplit(in *Instance) (*SplitMapping, error) {
-	return heuristics.H4wSplit(in, nil, heuristics.Options{})
-}
-
 // Evaluate computes the period, throughput, per-machine loads and product
 // counts of a complete mapping.
 func Evaluate(in *Instance, m *Mapping) (*Evaluation, error) { return core.Evaluate(in, m) }
@@ -343,11 +335,6 @@ func Evaluate(in *Instance, m *Mapping) (*Evaluation, error) { return core.Evalu
 // nothing changed. Search loops use it to price candidates without
 // re-evaluating from scratch.
 func NewEvaluator(in *Instance) *Evaluator { return core.NewEvaluator(in) }
-
-// EvaluateSplit evaluates a fractional mapping.
-func EvaluateSplit(in *Instance, s *SplitMapping) (*Evaluation, error) {
-	return core.EvaluateSplit(in, s)
-}
 
 // PlanInputs returns the expected raw products each source must receive so
 // that xout finished products leave the system.

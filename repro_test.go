@@ -211,13 +211,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if _, err := microfab.PlanInputs(in, mp, 50); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := microfab.SolveSplit(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := microfab.EvaluateSplit(in, sp); err != nil {
-		t.Fatal(err)
-	}
 	batches, err := microfab.PlanBatches(in, mp, 50, 1.3)
 	if err != nil {
 		t.Fatal(err)
